@@ -48,19 +48,22 @@ let create cfg =
   let names = Array.of_list (List.map (fun l -> l.lv_name) cfg.levels) in
   { cfg; caches; names; dram = 0 }
 
-let access t ~addr ~is_write =
+let access_depth t ~addr ~is_write =
   let n = Array.length t.caches in
   let rec go i =
     if i >= n then begin
       t.dram <- t.dram + 1;
-      t.cfg.dram_latency
+      n
     end
-    else begin
-      let cache, latency = t.caches.(i) in
-      if Cache.access cache ~addr ~is_write then latency else go (i + 1)
-    end
+    else if Cache.access (fst t.caches.(i)) ~addr ~is_write then i
+    else go (i + 1)
   in
   go 0
+
+let access t ~addr ~is_write =
+  let depth = access_depth t ~addr ~is_write in
+  if depth = Array.length t.caches then t.cfg.dram_latency
+  else snd t.caches.(depth)
 
 type level_stats = { ls_name : string; ls_stats : Cache.stats }
 

@@ -38,6 +38,13 @@ val access : t -> addr:int -> is_write:bool -> int
     everywhere.  Missing levels on the path allocate the line (normal
     non-inclusive fill). *)
 
+val access_depth : t -> addr:int -> is_write:bool -> int
+(** Performs the access like {!access} and returns how deep it went: the
+    index of the level that hit ([0] for the first level), or the number
+    of levels when it missed everywhere and went to DRAM.  The depth
+    alone settles an access's latency, since levels exchange no traffic
+    ({!Cycletrace} relies on this). *)
+
 type level_stats = { ls_name : string; ls_stats : Cache.stats }
 
 val stats : t -> level_stats list

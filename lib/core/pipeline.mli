@@ -126,7 +126,7 @@ type sampling_result = {
 
     Both pipelines decompose into jobs — (stage, binary) pairs: compile,
     structure profile, interval collection, clustering, summarize.  An
-    {!engine} carries the three pieces of machinery shared by those jobs:
+    {!engine} carries the four pieces of machinery shared by those jobs:
 
     - a scheduler width ([jobs]): independent jobs (distinct
       configurations in {!run_fli}, profile and follower runs in
@@ -140,6 +140,13 @@ type sampling_result = {
       {!Cbsp_report.Experiment.run_suite} does for a workload's FLI and
       VLI runs) deduplicates that work: each binary compiles exactly
       once;
+    - a trace scope holding the {!Cbsp_cache.Cycletrace}s of one
+      (program, input, hierarchy) group: the first interval-collection
+      pass over a binary simulates the cache model live and records its
+      trace, every later pass over the same binary in the same group
+      replays it, bit-identically ([cache.sim_passes] and
+      [cache.replay_passes] count them).  Moving to another group drops
+      the previous traces; nothing is persisted;
     - a timing sink recording every job's wall-clock and input/output
       sizes, for the per-stage timing report.
 
@@ -165,6 +172,9 @@ type engine = {
   eng_profiles : Cbsp_profile.Structprof.t Cbsp_engine.Store.t;
   eng_results : result_caches option;
   eng_timing : Cbsp_engine.Timing.sink;
+  eng_traces : Cbsp_cache.Cycletrace.t Cbsp_engine.Scope.t;
+      (** Cycle traces of the current (program, input, hierarchy)
+          group, keyed by binary config.  In memory only. *)
 }
 
 val create_engine :
@@ -181,8 +191,9 @@ val create_engine :
 
 val fork_engine : engine -> engine
 (** A per-request view: shares the artifact stores (and their disk
-    layers) but gets a fresh timing sink, so concurrent server requests
-    share caches while keeping per-request stage reports. *)
+    layers) but gets a fresh timing sink and trace scope, so concurrent
+    server requests share caches while keeping per-request stage
+    reports. *)
 
 val timings : engine -> Cbsp_engine.Timing.record list
 (** Every job record accumulated so far, in canonical (stage, label)
@@ -290,9 +301,10 @@ val run_sampling :
   n:int ->
   sampling_result
 (** One full profiling pass per binary (compile memoized via the engine,
-    interval collection timed as usual), then every sampler in
-    {!sampling_methods} runs once per seed on the resulting interval
-    population, each timed under [Stage.Sampling].  The same pass also
+    interval collection timed and streamed like {!run_fli}'s, the
+    strata features computed per interval as it is emitted), then every
+    sampler in {!sampling_methods} runs once per seed on the resulting
+    interval population, each timed under [Stage.Sampling].  The same pass also
     yields the SimPoint baseline ([sb_sp_cpi]) and the true CPI the CIs
     are judged against.  [level] defaults to 0.95, [seeds] to [[2007]].
     @raise Invalid_argument if [configs] or [seeds] is empty or [n < 2]. *)

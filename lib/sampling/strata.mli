@@ -21,37 +21,36 @@ val quantile_bins : bins:int -> float array -> int array
     (fewer distinct labels), which stratified sampling handles by
     dropping empty strata.  @raise Invalid_argument if [bins < 1]. *)
 
-val access_mix :
-  Cbsp_compiler.Binary.t -> bbvs:float array array -> float array
-(** Per-interval memory-access mix: accesses (spills included) per
-    instruction, reconstructed from the interval's BBV and the binary's
-    static per-block access rates.  A phase-1 proxy for memory-boundness
-    — intervals with high mix tend to have high and variable CPI — that
-    costs one array product per interval, no simulation.  Intervals with
-    an all-zero BBV get mix 0.
+val access_mix : Cbsp_compiler.Binary.t -> float array -> float
+(** [access_mix binary] is the per-interval memory-access mix of one
+    BBV: accesses (spills included) per instruction, reconstructed from
+    the interval's BBV and the binary's static per-block access rates
+    (computed once, at partial application).  Pure per interval, so a
+    streaming pass applies it to each BBV as the builder emits it.  A
+    phase-1 proxy for memory-boundness — intervals with high mix tend to
+    have high and variable CPI — that costs one array product per
+    interval, no simulation.  An all-zero BBV gets mix 0.
     @raise Invalid_argument if a BBV's dimension is not [n_blocks]. *)
 
 val n_locality_classes : int
 (** Size of {!static_locality}'s label space (6). *)
 
 val static_locality :
-  Cbsp_compiler.Binary.t ->
-  llc_bytes:int ->
-  bbvs:float array array ->
-  int array
-(** Per-interval dominant-locality-class labels in
+  Cbsp_compiler.Binary.t -> llc_bytes:int -> float array -> int
+(** [static_locality binary ~llc_bytes] labels one BBV with its
+    dominant locality class, in
     [0, n_locality_classes): 0 = no weighted traffic (compute), 1 =
     LLC-resident regular (unit/fixed-stride [Seq] arrays fitting in
     [llc_bytes], plus stack spills), 2 = DRAM-bound regular, 3 =
     LLC-resident irregular ([Rand]/[Hot]), 4 = DRAM-bound irregular, 5 =
-    dependent pointer chase.  Each interval gets the class with the
+    dependent pointer chase.  A BBV gets the class with the
     largest BBV-weighted accesses-per-instruction mass.  Unlike
     {!quantile_bins} over {!access_mix}, the label space is fixed by the
     binary and the hierarchy geometry — no per-population quantile or
     clustering pass — so it is the "profile-free" stratification of the
     static locality analyzer.
-    @raise Invalid_argument if a BBV's dimension is not [n_blocks] or
-    [llc_bytes < 0]. *)
+    @raise Invalid_argument if a BBV's dimension is not [n_blocks], or
+    (at partial application) if [llc_bytes < 0]. *)
 
 val allocate :
   scores:float array -> sizes:int array -> total:int -> int array

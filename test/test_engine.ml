@@ -8,6 +8,7 @@ module Scheduler = Cbsp_engine.Scheduler
 module Store = Cbsp_engine.Store
 module Timing = Cbsp_engine.Timing
 module Stage = Cbsp_engine.Stage
+module Scope = Cbsp_engine.Scope
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)
@@ -99,6 +100,45 @@ let test_parallel_map_exception_backtrace () =
 
 (* ------------------------------------------------------------------ *)
 (* Artifact store                                                      *)
+
+(* --- group scope --------------------------------------------------- *)
+
+let test_scope_one_group () =
+  let t = Scope.create () in
+  Alcotest.(check (option int)) "empty" None (Scope.find t ~group:"a" ~key:"k");
+  Scope.add t ~group:"a" ~key:"k" 1;
+  Scope.add t ~group:"a" ~key:"k" 2;
+  Alcotest.(check (option int)) "first entry kept" (Some 1)
+    (Scope.find t ~group:"a" ~key:"k");
+  Scope.add t ~group:"a" ~key:"j" 3;
+  Tutil.check_int "two entries" 2 (Scope.length t);
+  (* entering group b drops a's entries *)
+  Alcotest.(check (option int)) "other group misses" None
+    (Scope.find t ~group:"b" ~key:"k");
+  Tutil.check_int "a dropped" 0 (Scope.length t);
+  (* a late add for a group that is no longer current is ignored *)
+  Scope.add t ~group:"a" ~key:"k" 4;
+  Tutil.check_int "stale add ignored" 0 (Scope.length t);
+  Alcotest.(check (option int)) "back to a: still empty" None
+    (Scope.find t ~group:"a" ~key:"k")
+
+let test_scope_parallel () =
+  (* Domains adding distinct keys of one group all land. *)
+  let t = Scope.create () in
+  let n = 64 in
+  let (_ : unit list) =
+    Scheduler.parallel_map ~jobs:4
+      (fun i ->
+        ignore (Scope.find t ~group:"g" ~key:(string_of_int i) : int option);
+        Scope.add t ~group:"g" ~key:(string_of_int i) i)
+      (List.init n Fun.id)
+  in
+  Tutil.check_int "every key stored" n (Scope.length t);
+  List.iter
+    (fun i ->
+      Alcotest.(check (option int)) "value" (Some i)
+        (Scope.find t ~group:"g" ~key:(string_of_int i)))
+    (List.init n Fun.id)
 
 let test_store_memoizes () =
   let store = Store.create ~name:"t" () in
@@ -436,6 +476,9 @@ let () =
           Tutil.quick "caches exceptions" test_store_caches_exceptions;
           Tutil.quick "mem during in-flight compute" test_store_mem_during_inflight_compute;
           Tutil.quick "content keyed" test_store_digest_content_keyed ] );
+      ( "scope",
+        [ Tutil.quick "one group at a time" test_scope_one_group;
+          Tutil.quick "parallel adds" test_scope_parallel ] );
       ( "timing",
         [ Tutil.quick "records jobs" test_timing_records;
           Tutil.quick "failure status" test_timing_failure_status;

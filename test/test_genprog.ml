@@ -335,6 +335,76 @@ let prop_locality_bounds_sound =
           end)
         (binaries_of plan program))
 
+(* A block of 16-315 random accesses into a 1.6-2.4 MB array: more
+   first-level misses than a trace record's first byte holds, so the
+   escape path runs under generated sizes too. *)
+let burst_program plan =
+  let b = B.create ~name:(Printf.sprintf "burst%d" plan.seed) in
+  let big =
+    B.data_array b ~name:"big" ~elem_bytes:8 ~length:(200_000 + (10 * plan.seed))
+  in
+  B.proc b ~name:"main"
+    [ B.loop b ~trips:(Ast.Fixed 20)
+        [ B.work b ~insts:10
+            ~accesses:[ B.rand ~arr:big ~count:(16 + (plan.seed mod 300)) () ]
+            () ] ];
+  B.finish b ~main:"main"
+
+(* The cycle trace is exact on anything the language can express: a
+   replayed pass reports Cpu's cycles and every extra counter at every
+   block event of every binary, under three hierarchy shapes. *)
+let prop_cycletrace_replay_exact =
+  let module Cpu = Cbsp_cache.Cpu in
+  let module Cycletrace = Cbsp_cache.Cycletrace in
+  let module Hierarchy = Cbsp_cache.Hierarchy in
+  let hierarchies =
+    [ Hierarchy.paper_table1;
+      Hierarchy.scaled_config ~factor:32;
+      { Hierarchy.levels = [ List.hd Hierarchy.paper_table1.Hierarchy.levels ];
+        dram_latency = 120 } ]
+  in
+  (* (cycles, extras) before the model sees each block event *)
+  let at_blocks binary ~cycles ~extras model =
+    let acc = ref [] in
+    let probe =
+      { Executor.null_observer with
+        Executor.on_block = (fun _ _ -> acc := (cycles (), extras ()) :: !acc) }
+    in
+    let (_ : Executor.totals) =
+      Executor.run binary input (Executor.compose [ probe; model ])
+    in
+    List.rev ((cycles (), extras ()) :: !acc)
+  in
+  QCheck.Test.make ~name:"cycle trace replay = live Cpu at every block"
+    ~count:20 (QCheck.make plan_gen) (fun plan ->
+      let program = build_program plan in
+      List.for_all
+        (fun binary ->
+          List.for_all
+            (fun config ->
+              let cpu = Cpu.create ~config () in
+              let want =
+                at_blocks binary
+                  ~cycles:(fun () -> Cpu.cycles cpu)
+                  ~extras:(fun () -> Cpu.extra_counters cpu)
+                  (Cpu.observer cpu)
+              in
+              let live = Cycletrace.live ~config () in
+              let (_ : Executor.totals) =
+                Executor.run binary input (Cycletrace.observer live)
+              in
+              let sim = Cycletrace.replay (Cycletrace.finish live) in
+              let got =
+                at_blocks binary
+                  ~cycles:(fun () -> Cycletrace.cycles sim)
+                  ~extras:(fun () -> Cycletrace.extra_counters sim)
+                  (Cycletrace.observer sim)
+              in
+              ignore (Cycletrace.finish sim : Cycletrace.t);
+              got = want)
+            hierarchies)
+        (binaries_of plan program @ binaries_of plan (burst_program plan)))
+
 let () =
   Alcotest.run "genprog"
     [ ( "random programs",
@@ -346,4 +416,5 @@ let () =
           Tutil.qcheck_case prop_flat_matches_tree;
           Tutil.qcheck_case prop_data_stream_across_opt;
           Tutil.qcheck_case prop_static_prover_sound;
-          Tutil.qcheck_case prop_locality_bounds_sound ] ) ]
+          Tutil.qcheck_case prop_locality_bounds_sound;
+          Tutil.qcheck_case prop_cycletrace_replay_exact ] ) ]

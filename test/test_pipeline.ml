@@ -306,6 +306,119 @@ let test_streaming_scratch_gauge () =
   Tutil.check_bool "materialized peak grows with run length" true
     (Cbsp_obs.Metrics.gauge_value gauge > streaming_peak)
 
+(* --- cycle-trace reuse ------------------------------------------------ *)
+
+let pass_counts () =
+  ( Cbsp_obs.Metrics.value (Cbsp_obs.Metrics.counter "cache.sim_passes"),
+    Cbsp_obs.Metrics.value (Cbsp_obs.Metrics.counter "cache.replay_passes") )
+
+(* [f ()] and the (live, replayed) model passes it ran. *)
+let counting_passes f =
+  let live0, replay0 = pass_counts () in
+  let r = f () in
+  let live1, replay1 = pass_counts () in
+  (r, (live1 - live0, replay1 - replay0))
+
+(* The four methods that follow a first FLI pass over the same input:
+   on a shared engine every one of their passes replays a trace. *)
+let replaying_methods ~engine program ~configs ~input ~target =
+  ( Pipeline.run_vli ~engine:(engine ()) program ~configs ~input ~target,
+    Pipeline.run_vli ~static:true ~engine:(engine ()) program ~configs ~input
+      ~target,
+    Pipeline.run_vli ~static:true ~semantic:true ~engine:(engine ()) program
+      ~configs ~input ~target,
+    Pipeline.run_sampling ~engine:(engine ()) ~seeds:[ 2007; 2008 ] program
+      ~configs ~input ~target ~n:16 )
+
+(* Replaying the first pass's cycle trace changes no result bit: across
+   the registry, one shared engine running fli, vli, vli-static,
+   vli-recovered and sampling (one live pass per binary, replays after)
+   equals a fresh engine per call (every pass live), record for record.
+   The fli pass is live either way, so it is run once.  Engines run two
+   domains wide, which the parallel-engine test shows is bit-identical
+   to one. *)
+let test_trace_reuse_registry () =
+  List.iter
+    (fun (entry : Cbsp_workloads.Registry.entry) ->
+      let name = entry.Cbsp_workloads.Registry.name in
+      let program = entry.Cbsp_workloads.Registry.build () in
+      let configs =
+        Config.paper_four
+          ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
+      in
+      let target = 10_000 in
+      let shared_engine = Pipeline.create_engine ~jobs:2 () in
+      let shared, (live, replayed) =
+        counting_passes (fun () ->
+            let (_ : Pipeline.fli_result) =
+              Pipeline.run_fli ~engine:shared_engine program ~configs ~input
+                ~target
+            in
+            replaying_methods
+              ~engine:(fun () -> shared_engine)
+              program ~configs ~input ~target)
+      in
+      let fresh, (fresh_live, fresh_replayed) =
+        counting_passes (fun () ->
+            replaying_methods
+              ~engine:(fun () -> Pipeline.create_engine ~jobs:2 ())
+              program ~configs ~input ~target)
+      in
+      Tutil.check_int (name ^ ": one live pass per binary") 4 live;
+      Tutil.check_int (name ^ ": replays for the rest") 16 replayed;
+      Tutil.check_int (name ^ ": fresh engines run live") 16 fresh_live;
+      Tutil.check_int (name ^ ": fresh engines never replay") 0 fresh_replayed;
+      Tutil.check_bool (name ^ ": shared = fresh, whole records") true
+        (shared = fresh))
+    Cbsp_workloads.Registry.all
+
+(* A trace belongs to one (program, input, hierarchy) group: moving an
+   engine to another input or cache config runs live again, and coming
+   back to the first group does not find the dropped traces either. *)
+let test_trace_scope () =
+  let program = Tutil.two_phase_program () in
+  let eng = Pipeline.create_engine () in
+  let other_input = Input.make ~name:"other" ~seed:12 ~scale:1 () in
+  let scaled = Cbsp_cache.Hierarchy.scaled_config ~factor:8 in
+  let run ?cache_config input =
+    snd
+      (counting_passes (fun () ->
+           Pipeline.run_fli ?cache_config ~engine:eng program ~configs ~input
+             ~target))
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "first touch: live" (4, 0) (run input);
+  Alcotest.check pair "same group: replay" (0, 4) (run input);
+  Alcotest.check pair "other input: live" (4, 0) (run other_input);
+  Alcotest.check pair "other cache config: live" (4, 0)
+    (run ~cache_config:scaled other_input);
+  Alcotest.check pair "scaled group replays itself" (0, 4)
+    (run ~cache_config:scaled other_input);
+  Alcotest.check pair "first group was dropped: live" (4, 0) (run input);
+  (* A forked engine gets its own, empty scope. *)
+  let forked = Pipeline.fork_engine eng in
+  Alcotest.check pair "fork starts empty" (4, 0)
+    (snd
+       (counting_passes (fun () ->
+            Pipeline.run_fli ~engine:forked program ~configs ~input ~target)))
+
+(* Trace recording and replay under a parallel engine: run_fli records
+   from several domains at once, run_vli replays from several. *)
+let test_trace_parallel_engine () =
+  let program = Tutil.two_phase_program () in
+  let go jobs =
+    counting_passes (fun () ->
+        let engine = Pipeline.create_engine ~jobs () in
+        ( Pipeline.run_fli ~engine program ~configs ~input ~target,
+          Pipeline.run_vli ~engine program ~configs ~input ~target,
+          Pipeline.run_sampling ~engine program ~configs ~input ~target ~n:8 ))
+  in
+  let seq, seq_passes = go 1 in
+  let par, par_passes = go 2 in
+  Alcotest.(check (pair int int)) "jobs=1 passes" (4, 8) seq_passes;
+  Alcotest.(check (pair int int)) "jobs=2 passes" (4, 8) par_passes;
+  Tutil.check_bool "jobs=2 = jobs=1" true (seq = par)
+
 let () =
   Alcotest.run "pipeline"
     [ ( "structure",
@@ -325,6 +438,11 @@ let () =
             test_streaming_equals_materialized_registry;
           Tutil.quick "fli differential" test_streaming_equals_materialized_fli;
           Tutil.quick "scratch gauge" test_streaming_scratch_gauge ] );
+      ( "cycle trace",
+        [ Tutil.quick "registry: shared engine = fresh engines"
+            test_trace_reuse_registry;
+          Tutil.quick "scope by input and hierarchy" test_trace_scope;
+          Tutil.quick "parallel engine" test_trace_parallel_engine ] );
       ( "validation",
         [ Tutil.quick "invalid primary" test_invalid_primary;
           Tutil.quick "empty configs" test_empty_configs;
