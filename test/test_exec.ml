@@ -193,20 +193,25 @@ let test_select_counts () =
 let test_compose_order () =
   let program = Tutil.single_loop_program () in
   let binary = Lower.compile program (Config.v Isa.X86_32 Config.O0) in
-  let order = ref [] in
-  let obs1 =
-    { Executor.null_observer with
-      Executor.on_block = (fun _ _ -> order := 1 :: !order) }
-  in
-  let obs2 =
-    { Executor.null_observer with
-      Executor.on_block = (fun _ _ -> order := 2 :: !order) }
-  in
-  let (_ : Executor.totals) = run binary (Executor.compose [ obs1; obs2 ]) in
-  (match !order with
-   | 2 :: 1 :: _ -> ()
-   | _ -> Alcotest.fail "observers not called in list order");
-  Tutil.check_bool "composition saw events" true (List.length !order > 0)
+  (* Every block event must reach the observers in list order, for a
+     pair and for longer lists alike. *)
+  List.iter
+    (fun n ->
+      let order = ref [] in
+      let observers =
+        List.init n (fun i ->
+            { Executor.null_observer with
+              Executor.on_block = (fun _ _ -> order := i :: !order) })
+      in
+      let totals = run binary (Executor.compose observers) in
+      let seen = List.rev !order in
+      let expected =
+        List.concat (List.init totals.Executor.blocks (fun _ -> List.init n Fun.id))
+      in
+      Tutil.check_bool "composition saw events" true (seen <> []);
+      if seen <> expected then
+        Alcotest.failf "%d observers not called in list order" n)
+    [ 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Flat interpreter vs tree-walking reference.                         *)
