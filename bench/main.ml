@@ -39,6 +39,7 @@ module Verrors = Cbsp_validate.Errors
 module Vtruth = Cbsp_validate.Truth
 module Vmatrix = Cbsp_validate.Matrix
 module Leaderboard = Cbsp_validate.Leaderboard
+module Jsonx = Cbsp_json.Jsonx
 
 let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
@@ -261,7 +262,6 @@ let fli_pass run_fn () =
   read ()
 
 let kernel_specs =
-  let jobs = min 4 (Cbsp_engine.Scheduler.recommended_jobs ()) in
   [ (* executor: flat interpreter vs tree-walking reference *)
     kernel "exec/run_tiny"
       ~baseline:(List.assoc "exec/run_tiny" seed_baseline_ns)
@@ -293,13 +293,8 @@ let kernel_specs =
       (fun () ->
         Kmeans.run_reference ~k:8 ~weights:kmeans_big_weights
           ~points:kmeans_big_points ~restarts:1 ());
-    kernel
-      (Printf.sprintf "kmeans/k8_600pts_j%d" jobs)
-      ~reference:"kmeans/k8_600pts_reference"
-      (fun () ->
-        Kmeans.run ~k:8 ~weights:kmeans_big_weights ~points:kmeans_big_points
-          ~restarts:1 ~jobs ());
-    (* projection: buffer-reusing apply_all vs per-row map *)
+    (* projection: one row, into a fresh or a reused buffer, and a
+       300-row matrix *)
     kernel "projection/apply_400to15"
       ~baseline:(List.assoc "projection/apply_400to15" seed_baseline_ns)
       (fun () ->
@@ -311,16 +306,11 @@ let kernel_specs =
         let p, v = projection_fixture in
         Projection.project_into p v projection_out);
     kernel "projection/apply_all_300rows"
-      ~reference:"projection/apply_all_300rows_map"
       (fun () ->
         let p, _ = projection_fixture in
         Projection.apply_all p projection_rows);
-    kernel "projection/apply_all_300rows_map"
-      (fun () ->
-        let p, _ = projection_fixture in
-        Array.map (Projection.apply p) projection_rows);
     (* interval codec: compact binary encode/decode of the 64-interval
-       fixture profile — the artifact store's on-disk path *)
+       fixture profile — the cbsp-ivl/1 format `cbsp dump-bbv` writes *)
     kernel "ivl/encode_64x400"
       ~baseline:(List.assoc "ivl/encode_64x400" seed_baseline_ns)
       (fun () -> Ivl_file.encode ~n_blocks:400 ivl_intervals);
@@ -749,7 +739,7 @@ let write_kernels_json ~path ~mode ?suite rows =
   in
   Cbsp_util.Io.with_out_file path @@ fun oc ->
   Printf.fprintf oc "{\n  \"schema\": \"cbsp-bench-kernels/1\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" mode;
+  Printf.fprintf oc "  \"mode\": %s,\n" (Jsonx.quote mode);
   (match suite with
   | None -> Printf.fprintf oc "  \"suite\": null,\n"
   | Some sn ->
@@ -800,9 +790,9 @@ let write_kernels_json ~path ~mode ?suite rows =
           | _ -> None)
         | None -> None
       in
-      Printf.fprintf oc "%s\n    { \"name\": %S,\n"
+      Printf.fprintf oc "%s\n    { \"name\": %s,\n"
         (if i = 0 then "" else ",")
-        spec.ks_name;
+        (Jsonx.quote spec.ks_name);
       Printf.fprintf oc "      \"ns_per_op\": %s,\n      \"r2\": %s,\n"
         (json_float ns) (json_float r2);
       Printf.fprintf oc "      \"seed_baseline_ns\": %s,\n"
@@ -811,7 +801,7 @@ let write_kernels_json ~path ~mode ?suite rows =
         (json_opt_float speedup_vs_seed);
       Printf.fprintf oc "      \"reference\": %s,\n"
         (match spec.ks_reference with
-        | Some r -> Printf.sprintf "%S" r
+        | Some r -> Jsonx.quote r
         | None -> "null");
       Printf.fprintf oc "      \"speedup_vs_reference\": %s }"
         (json_opt_float speedup_vs_reference))

@@ -1182,7 +1182,7 @@ let trace_cmd =
 module Server = Cbsp_serve.Server
 module Sclient = Cbsp_serve.Client
 module Sproto = Cbsp_serve.Protocol
-module Jsonx = Cbsp_serve.Jsonx
+module Jsonx = Cbsp_json.Jsonx
 
 let socket_arg =
   Arg.(value & opt string "/tmp/cbsp-serve.sock"

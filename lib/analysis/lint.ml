@@ -3,6 +3,7 @@ module Validate = Cbsp_source.Validate
 module Marker = Cbsp_compiler.Marker
 module Binary = Cbsp_compiler.Binary
 module Metrics = Cbsp_obs.Metrics
+module Jsonx = Cbsp_json.Jsonx
 
 type severity = Error | Warning | Info
 
@@ -318,21 +319,6 @@ let totals_of_reports reports =
       at_needs_dynamic = 0 }
     reports
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Locality upper bounds can be [infinity] (nothing provable); JSON has
    no infinity literal, so render those as null. *)
 let json_float x =
@@ -344,18 +330,17 @@ let to_json ~scale ~workloads ~totals ?semantic ?locality findings =
   addf "{\n  \"schema\": \"cbsp-lint/1\",\n";
   addf "  \"scale\": %d,\n" scale;
   addf "  \"workloads\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun w -> Printf.sprintf "\"%s\"" (json_escape w)) workloads));
+    (String.concat ", " (List.map Jsonx.quote workloads));
   addf "  \"findings\": [";
   List.iteri
     (fun i f ->
-      addf "%s\n    { \"workload\": \"%s\", \"severity\": \"%s\", \"rule\": \"%s\", \"line\": %s, \"message\": \"%s\" }"
+      addf "%s\n    { \"workload\": %s, \"severity\": \"%s\", \"rule\": %s, \"line\": %s, \"message\": %s }"
         (if i = 0 then "" else ",")
-        (json_escape f.f_workload)
+        (Jsonx.quote f.f_workload)
         (severity_name f.f_severity)
-        (json_escape f.f_rule)
+        (Jsonx.quote f.f_rule)
         (match f.f_line with Some l -> string_of_int l | None -> "null")
-        (json_escape f.f_message))
+        (Jsonx.quote f.f_message))
     findings;
   addf "%s],\n" (if findings = [] then "" else "\n  ");
   addf
@@ -369,9 +354,9 @@ let to_json ~scale ~workloads ~totals ?semantic ?locality findings =
     List.iteri
       (fun i s ->
         addf
-          "%s\n    { \"workload\": \"%s\", \"lost\": %d, \"identified\": %d, \"order_safe\": %d, \"demoted\": %d, \"recovered_fraction\": %.4f }"
+          "%s\n    { \"workload\": %s, \"lost\": %d, \"identified\": %d, \"order_safe\": %d, \"demoted\": %d, \"recovered_fraction\": %.4f }"
           (if i = 0 then "" else ",")
-          (json_escape s.ss_workload) s.ss_lost s.ss_identified s.ss_cuttable
+          (Jsonx.quote s.ss_workload) s.ss_lost s.ss_identified s.ss_cuttable
           s.ss_demoted (recovered_fraction s))
       stats;
     addf "%s],\n" (if stats = [] then "" else "\n  "));
@@ -382,12 +367,12 @@ let to_json ~scale ~workloads ~totals ?semantic ?locality findings =
     List.iteri
       (fun i s ->
         addf
-          "%s\n    { \"workload\": \"%s\", \"regions\": %d, \"cpi_lo\": %s, \"cpi_hi\": %s, \"fit_level\": %s }"
+          "%s\n    { \"workload\": %s, \"regions\": %d, \"cpi_lo\": %s, \"cpi_hi\": %s, \"fit_level\": %s }"
           (if i = 0 then "" else ",")
-          (json_escape s.lo_workload) s.lo_regions (json_float s.lo_cpi_lo)
+          (Jsonx.quote s.lo_workload) s.lo_regions (json_float s.lo_cpi_lo)
           (json_float s.lo_cpi_hi)
           (match s.lo_fit_level with
-          | Some l -> Printf.sprintf "\"%s\"" (json_escape l)
+          | Some l -> Jsonx.quote l
           | None -> "null"))
       stats;
     addf "%s],\n" (if stats = [] then "" else "\n  "));

@@ -32,7 +32,6 @@ type 'v cell = {
 }
 
 type 'v t = {
-  s_name : string;
   s_mutex : Mutex.t;
   s_table : (string, 'v cell) Hashtbl.t;
   s_disk : Diskcache.t option;
@@ -48,7 +47,7 @@ let create ?(name = "store") ?disk () =
     [ ("store", name);
       ("instance", string_of_int (Atomic.fetch_and_add next_id 1)) ]
   in
-  { s_name = name; s_mutex = Mutex.create (); s_table = Hashtbl.create 64;
+  { s_mutex = Mutex.create (); s_table = Hashtbl.create 64;
     s_disk = disk;
     s_computes = Metrics.counter ~labels "store.computes";
     s_hits = Metrics.counter ~labels "store.hits";
@@ -169,12 +168,3 @@ let evictions t =
 
 let quarantined t =
   match t.s_disk with None -> 0 | Some d -> Diskcache.quarantined d
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%s: %d computed, %d hits" t.s_name (computes t)
-    (hits t);
-  match t.s_disk with
-  | None -> ()
-  | Some d ->
-    Format.fprintf ppf ", %d disk hits, %d evicted, %d quarantined"
-      (Diskcache.hits d) (Diskcache.evictions d) (Diskcache.quarantined d)

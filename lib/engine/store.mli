@@ -13,7 +13,7 @@
 type 'v t
 
 val create : ?name:string -> ?disk:Diskcache.t -> unit -> 'v t
-(** [name] labels the store in {!pp_stats} output (default ["store"]).
+(** [name] labels the store's metrics (default ["store"]).
 
     With [disk], values also persist across processes: the owner of a
     key consults the {!Diskcache} before computing, publishes the
@@ -52,7 +52,3 @@ val evictions : 'v t -> int
 val quarantined : 'v t -> int
 (** Corrupt disk entries quarantined for this store (0 without
     [disk]). *)
-
-val pp_stats : Format.formatter -> 'v t -> unit
-(** e.g. ["binaries: 4 computed, 4 hits"]; with a disk layer also
-    [", 3 disk hits, 1 evicted, 0 quarantined"]. *)

@@ -37,6 +37,11 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+let quote s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_escaped buf s;
+  Buffer.contents buf
+
 let add_num buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" f)

@@ -20,6 +20,10 @@ exception Parse_error of string
 
 val to_string : t -> string
 
+val quote : string -> string
+(** [s] as a JSON string literal, quotes included: the escaping
+    {!to_string} applies to [Str s].  For documents printed by hand. *)
+
 val of_string : string -> t
 (** @raise Parse_error on malformed input (including trailing bytes). *)
 

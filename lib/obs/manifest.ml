@@ -3,6 +3,8 @@
    ran (per-stage timing with failure counts), what broke (failure
    records, the fatal error if any), and the full metrics snapshot. *)
 
+module Jsonx = Cbsp_json.Jsonx
+
 type stage = {
   m_stage : string;
   m_jobs : int;
@@ -16,24 +18,6 @@ type stage = {
 type failure = { f_stage : string; f_label : string }
 
 let schema = "cbsp-manifest/1"
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
 
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
@@ -55,20 +39,20 @@ let write ?(version = "1.0.0") ?(argv = []) ?(config = []) ?error ~tool
     ~stages ~failures ~path () =
   Cbsp_util.Io.with_out_file path (fun oc ->
       let pf fmt = Printf.fprintf oc fmt in
-      pf "{\n  \"schema\": %s,\n" (json_string schema);
-      pf "  \"tool\": %s,\n  \"version\": %s,\n" (json_string tool)
-        (json_string version);
+      pf "{\n  \"schema\": %s,\n" (Jsonx.quote schema);
+      pf "  \"tool\": %s,\n  \"version\": %s,\n" (Jsonx.quote tool)
+        (Jsonx.quote version);
       pf "  \"created_unix\": %.3f,\n" (Unix.gettimeofday ());
       pf "  \"argv\": [%s],\n"
-        (String.concat ", " (List.map json_string argv));
+        (String.concat ", " (List.map Jsonx.quote argv));
       pf "  \"config\": {%s},\n"
         (String.concat ", "
            (List.map
               (fun (k, v) ->
-                Printf.sprintf "%s: %s" (json_string k) (json_string v))
+                Printf.sprintf "%s: %s" (Jsonx.quote k) (Jsonx.quote v))
               config));
       pf "  \"error\": %s,\n"
-        (match error with None -> "null" | Some e -> json_string e);
+        (match error with None -> "null" | Some e -> Jsonx.quote e);
       pf "  \"stages\": [";
       List.iteri
         (fun i (s : stage) ->
@@ -76,7 +60,7 @@ let write ?(version = "1.0.0") ?(argv = []) ?(config = []) ?error ~tool
             "%s\n    { \"stage\": %s, \"jobs\": %d, \"failed\": %d, \
              \"seconds\": %s, \"max_seconds\": %s, \"in\": %d, \"out\": %d }"
             (if i = 0 then "" else ",")
-            (json_string s.m_stage) s.m_jobs s.m_failed
+            (Jsonx.quote s.m_stage) s.m_jobs s.m_failed
             (json_float s.m_seconds) (json_float s.m_max_seconds) s.m_in_size
             s.m_out_size)
         stages;
@@ -86,7 +70,7 @@ let write ?(version = "1.0.0") ?(argv = []) ?(config = []) ?error ~tool
         (fun i (f : failure) ->
           pf "%s\n    { \"stage\": %s, \"label\": %s }"
             (if i = 0 then "" else ",")
-            (json_string f.f_stage) (json_string f.f_label))
+            (Jsonx.quote f.f_stage) (Jsonx.quote f.f_label))
         failures;
       pf "\n  ],\n";
       pf "  \"metrics\": [";
@@ -94,11 +78,11 @@ let write ?(version = "1.0.0") ?(argv = []) ?(config = []) ?error ~tool
         (fun i (it : Metrics.item) ->
           pf "%s\n    { \"name\": %s, \"labels\": {%s}, %s }"
             (if i = 0 then "" else ",")
-            (json_string it.Metrics.it_name)
+            (Jsonx.quote it.Metrics.it_name)
             (String.concat ", "
                (List.map
                   (fun (k, v) ->
-                    Printf.sprintf "%s: %s" (json_string k) (json_string v))
+                    Printf.sprintf "%s: %s" (Jsonx.quote k) (Jsonx.quote v))
                   it.Metrics.it_labels))
             (sample_json it.Metrics.it_sample))
         (Metrics.snapshot ());

@@ -10,6 +10,8 @@
    sink) records the span from the same two timestamps it reports —
    traces and stage summaries cannot disagree. *)
 
+module Jsonx = Cbsp_json.Jsonx
+
 type span = {
   sp_name : string;
   sp_cat : string;
@@ -91,22 +93,6 @@ let reset () =
 
 (* --- Chrome trace_event export ------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 type event = { ev_ph : char; ev_ts : float; ev_span : span }
 
 (* Rebuild a balanced, properly nested B/E sequence for one domain.
@@ -173,16 +159,16 @@ let export ~path =
             (fun ev ->
               let s = ev.ev_span in
               pf "%s\n  { \"ph\": \"%c\", \"pid\": 0, \"tid\": %d, \"ts\": \
-                  %.1f, \"name\": \"%s\", \"cat\": \"%s\""
+                  %.1f, \"name\": %s, \"cat\": %s"
                 (if !first then "" else ",")
                 ev.ev_ph tid
                 ((ev.ev_ts -. epoch) *. 1e6)
-                (json_escape s.sp_name) (json_escape s.sp_cat);
+                (Jsonx.quote s.sp_name) (Jsonx.quote s.sp_cat);
               if ev.ev_ph = 'B' then begin
                 pf ", \"args\": { \"ok\": %b" s.sp_ok;
                 List.iter
                   (fun (k, v) ->
-                    pf ", \"%s\": \"%s\"" (json_escape k) (json_escape v))
+                    pf ", %s: %s" (Jsonx.quote k) (Jsonx.quote v))
                   s.sp_attrs;
                 pf " }"
               end;

@@ -1,5 +1,5 @@
-(** [cbsp-ivl/1]: the compact binary interval format the artifact store
-    keeps on disk — the binary successor to the text {!Bbv_file} format
+(** [cbsp-ivl/1]: the compact binary interval format [cbsp dump-bbv]
+    writes — the binary successor to the text {!Bbv_file} format
     (which remains for SimPoint 3.0 interchange).
 
     Layout (all multi-byte integers are varints, LEB128-style,

@@ -5,6 +5,7 @@ module Config = Cbsp_compiler.Config
 module Stats = Cbsp_util.Stats
 module Scheduler = Cbsp_engine.Scheduler
 module Timing = Cbsp_engine.Timing
+module Jsonx = Cbsp_json.Jsonx
 
 type workload_sampling = {
   ws_name : string;
@@ -251,23 +252,26 @@ let write_json t ~path ~mode =
   Cbsp_util.Io.with_out_file path @@ fun oc ->
   let pf fmt = Printf.fprintf oc fmt in
   pf "{\n  \"schema\": \"cbsp-sampling/1\",\n";
-  pf "  \"mode\": %S,\n" mode;
+  pf "  \"mode\": %s,\n" (Jsonx.quote mode);
   pf "  \"target\": %d,\n  \"n\": %d,\n  \"level\": %s,\n" t.sr_target t.sr_n
     (json_float t.sr_level);
   pf "  \"seeds\": [%s],\n"
     (String.concat ", " (List.map string_of_int t.sr_seeds));
   pf "  \"methods\": [%s],\n"
     (String.concat ", "
-       (List.map (Printf.sprintf "%S") Pipeline.sampling_methods));
+       (List.map Jsonx.quote Pipeline.sampling_methods));
   pf "  \"overall_coverage\": {%s},\n"
     (String.concat ", "
        (List.map
-          (fun m -> Printf.sprintf "%S: %s" m (json_float (overall_coverage t ~method_:m)))
+          (fun m ->
+            Printf.sprintf "%s: %s" (Jsonx.quote m)
+              (json_float (overall_coverage t ~method_:m)))
           Pipeline.sampling_methods));
   pf "  \"workloads\": [";
   List.iteri
     (fun wi ws ->
-      pf "%s\n    { \"name\": %S,\n" (if wi = 0 then "" else ",") ws.ws_name;
+      pf "%s\n    { \"name\": %s,\n" (if wi = 0 then "" else ",")
+        (Jsonx.quote ws.ws_name);
       pf "      \"seconds\": %s,\n" (json_float ws.ws_seconds);
       pf "      \"simpoint_error\": %s,\n" (json_float (simpoint_error ws));
       pf "      \"simpoint_cost_fraction\": %s,\n"
@@ -277,9 +281,9 @@ let write_json t ~path ~mode =
            (List.map
               (fun m ->
                 Printf.sprintf
-                  "{ \"method\": %S, \"coverage\": %s, \"mean_abs_error\": \
+                  "{ \"method\": %s, \"coverage\": %s, \"mean_abs_error\": \
                    %s, \"mean_rel_half\": %s, \"mean_cost_fraction\": %s }"
-                  m
+                  (Jsonx.quote m)
                   (json_float (coverage ws ~method_:m))
                   (json_float (mean_abs_error ws ~method_:m))
                   (json_float (mean_rel_half ws ~method_:m))
@@ -288,9 +292,9 @@ let write_json t ~path ~mode =
       pf "      \"binaries\": [";
       List.iteri
         (fun bi (sb : Pipeline.sampling_binary) ->
-          pf "%s\n        { \"label\": %S,\n"
+          pf "%s\n        { \"label\": %s,\n"
             (if bi = 0 then "" else ",")
-            (Config.label sb.Pipeline.sb_config);
+            (Jsonx.quote (Config.label sb.Pipeline.sb_config));
           pf "          \"true_cpi\": %s,\n"
             (json_float sb.Pipeline.sb_truth.Pipeline.t_cpi);
           pf "          \"simpoint_cpi\": %s,\n"
@@ -304,11 +308,11 @@ let write_json t ~path ~mode =
               List.iter
                 (fun (run : Pipeline.sampler_run) ->
                   let e = run.Pipeline.sr_estimate in
-                  pf "%s\n            { \"method\": %S, \"seed\": %d, \
+                  pf "%s\n            { \"method\": %s, \"seed\": %d, \
                       \"point\": %s, \"half\": %s, \"df\": %d, \"n\": %d, \
                       \"covers\": %b }"
                     (if !first then "" else ",")
-                    mr.Pipeline.mr_method run.Pipeline.sr_seed
+                    (Jsonx.quote mr.Pipeline.mr_method) run.Pipeline.sr_seed
                     (json_float e.Sampler.e_point)
                     (json_float e.Sampler.e_half) e.Sampler.e_df e.Sampler.e_n
                     (Sampler.covers e

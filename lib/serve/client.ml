@@ -4,6 +4,8 @@
    starting, backlog full), queue shed, quota denial — are retried with
    the server's [retry_after_s] hint plus a deterministic backoff. *)
 
+module Jsonx = Cbsp_json.Jsonx
+
 let connect = function
   | Server.Unix_socket path ->
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

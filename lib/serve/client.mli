@@ -11,7 +11,7 @@ val request :
   ?attempts:int ->
   address:Server.address ->
   Protocol.request ->
-  (Jsonx.t, string) result
+  (Cbsp_json.Jsonx.t, string) result
 (** A successful ([status = "ok"]) response, or a final error after at
     most [attempts] (default 8) tries.  [tenant] defaults to
     {!Protocol.default_tenant}. *)

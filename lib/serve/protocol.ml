@@ -16,6 +16,7 @@
    chosen simulation points, per-binary weights and CPI estimates;
    [sample] adds the samplers' confidence intervals. *)
 
+module Jsonx = Cbsp_json.Jsonx
 module Pipeline = Cbsp.Pipeline
 module Config = Cbsp_compiler.Config
 module Sampler = Cbsp_sampling.Sampler

@@ -58,30 +58,33 @@ val parse_request : string -> (parsed, string) result
 
 val request_op : request -> string
 
-val json_of_request : tenant:string -> request -> Jsonx.t
+val json_of_request : tenant:string -> request -> Cbsp_json.Jsonx.t
 (** The client-side encoder; [parse_request] of its [to_string] is the
     identity on the carried request. *)
 
-val response_base : op:string -> (string * Jsonx.t) list -> Jsonx.t
+val response_base :
+  op:string -> (string * Cbsp_json.Jsonx.t) list -> Cbsp_json.Jsonx.t
 
 val error_response :
-  ?retry_after_s:float -> retriable:bool -> string -> Jsonx.t
+  ?retry_after_s:float -> retriable:bool -> string -> Cbsp_json.Jsonx.t
 
-val is_ok : Jsonx.t -> bool
+val is_ok : Cbsp_json.Jsonx.t -> bool
 
-val is_retriable : Jsonx.t -> bool
+val is_retriable : Cbsp_json.Jsonx.t -> bool
 
 val json_of_vli :
-  workload:string -> elapsed_s:float -> Cbsp.Pipeline.vli_result -> Jsonx.t
+  workload:string -> elapsed_s:float -> Cbsp.Pipeline.vli_result ->
+  Cbsp_json.Jsonx.t
 
 val json_of_fli :
-  workload:string -> elapsed_s:float -> Cbsp.Pipeline.fli_result -> Jsonx.t
+  workload:string -> elapsed_s:float -> Cbsp.Pipeline.fli_result ->
+  Cbsp_json.Jsonx.t
 
 val json_of_sampling :
   workload:string ->
   elapsed_s:float ->
   Cbsp.Pipeline.sampling_result ->
-  Jsonx.t
+  Cbsp_json.Jsonx.t
 
 val json_of_validation :
   workload:string ->
@@ -89,10 +92,10 @@ val json_of_validation :
   mode:string ->
   Cbsp_validate.Matrix.t ->
   Cbsp_validate.Leaderboard.t ->
-  Jsonx.t
+  Cbsp_json.Jsonx.t
 (** One workload's matrix row as a [validate] response: the full
     [cbsp-validate/1] document under a ["validate"] key. *)
 
-val json_of_metrics_snapshot : Cbsp_obs.Metrics.item list -> Jsonx.t
+val json_of_metrics_snapshot : Cbsp_obs.Metrics.item list -> Cbsp_json.Jsonx.t
 
-val pong : uptime_s:float -> Jsonx.t
+val pong : uptime_s:float -> Cbsp_json.Jsonx.t

@@ -16,6 +16,7 @@
    queued, join the workers, write the final manifest.  Nothing
    in-flight is dropped. *)
 
+module Jsonx = Cbsp_json.Jsonx
 module Pipeline = Cbsp.Pipeline
 module Config = Cbsp_compiler.Config
 module Input = Cbsp_source.Input

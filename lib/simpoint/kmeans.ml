@@ -1,6 +1,5 @@
 module Rng = Cbsp_util.Rng
 module Stats = Cbsp_util.Stats
-module Scheduler = Cbsp_engine.Scheduler
 module Metrics = Cbsp_obs.Metrics
 
 (* Clustering observability: restarts executed, Lloyd iterations, and
@@ -30,11 +29,10 @@ let check_args ~k ~weights ~points =
     (fun p -> if Array.length p <> dim then invalid_arg "Kmeans.run: ragged points")
     points
 
-(* Points are processed in fixed chunks: the chunk grid depends only on n,
-   never on the worker count, and partial results are folded in ascending
-   chunk order.  That fixes one canonical floating-point summation order,
-   so every [jobs] value — and the sequential reference — produces
-   bit-identical centroids and distortion. *)
+(* Point-order reductions are summed per fixed 256-point chunk, and the
+   chunk partials are folded in ascending chunk order.  That is the one
+   canonical floating-point summation order both [run] and the reference
+   use; a plain running sum over all points gives different bits. *)
 let chunk_size = 256
 
 let chunk_bounds n =
@@ -125,18 +123,16 @@ let accumulate_chunk ~weights ~points ~assignments ~k ~dim (lo, hi) =
   done;
   (sums, mass)
 
-let accumulate ~jobs ~weights ~points ~assignments ~k =
+let accumulate ~weights ~points ~assignments ~k =
   let n = Array.length points in
   let dim = Array.length points.(0) in
-  let partials =
-    Scheduler.parallel_map ~jobs
-      (accumulate_chunk ~weights ~points ~assignments ~k ~dim)
-      (chunk_bounds n)
-  in
   let sums = Array.init k (fun _ -> Array.make dim 0.0) in
   let mass = Array.make k 0.0 in
   List.iter
-    (fun (psums, pmass) ->
+    (fun chunk ->
+      let psums, pmass =
+        accumulate_chunk ~weights ~points ~assignments ~k ~dim chunk
+      in
       for c = 0 to k - 1 do
         mass.(c) <- mass.(c) +. pmass.(c);
         let s = sums.(c) in
@@ -145,17 +141,16 @@ let accumulate ~jobs ~weights ~points ~assignments ~k =
           s.(j) <- s.(j) +. p.(j)
         done
       done)
-    partials;
+    (chunk_bounds n);
   (sums, mass)
 
-let recompute_centroids ~jobs ~weights ~points ~assignments ~centroids =
+let recompute_centroids ~weights ~points ~assignments ~centroids =
   let k = Array.length centroids in
   let dim = Array.length points.(0) in
-  let sums, mass = accumulate ~jobs ~weights ~points ~assignments ~k in
+  let sums, mass = accumulate ~weights ~points ~assignments ~k in
   (* Reseed empty clusters on the point with the largest weighted distance
-     to its current centroid.  Sequential on purpose: the scan reads
-     centroids mid-update, so its order is part of the reference
-     semantics. *)
+     to its current centroid.  The scan reads centroids mid-update, so its
+     order is part of the reference semantics. *)
   for c = 0 to k - 1 do
     if mass.(c) = 0.0 then begin
       let worst = ref 0 and worst_d = ref neg_infinity in
@@ -186,13 +181,12 @@ let distortion_chunk ~weights ~points ~assignments ~centroids (lo, hi) =
   done;
   !acc
 
-let total_distortion ~jobs ~weights ~points ~assignments ~centroids =
-  let parts =
-    Scheduler.parallel_map ~jobs
-      (distortion_chunk ~weights ~points ~assignments ~centroids)
-      (chunk_bounds (Array.length points))
-  in
-  List.fold_left ( +. ) 0.0 parts
+let total_distortion ~weights ~points ~assignments ~centroids =
+  List.fold_left
+    (fun acc chunk ->
+      acc +. distortion_chunk ~weights ~points ~assignments ~centroids chunk)
+    0.0
+    (chunk_bounds (Array.length points))
 
 (* --- reference Lloyd ---------------------------------------------------- *)
 
@@ -205,14 +199,14 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
   while !continue && !iterations < max_iters do
     let changed = assign_all ~centroids ~points ~assignments in
     if changed then begin
-      recompute_centroids ~jobs:1 ~weights ~points ~assignments ~centroids;
+      recompute_centroids ~weights ~points ~assignments ~centroids;
       incr iterations
     end
     else continue := false
   done;
   (* Ensure assignments reflect the final centroids. *)
   let (_ : bool) = assign_all ~centroids ~points ~assignments in
-  let distortion = total_distortion ~jobs:1 ~weights ~points ~assignments ~centroids in
+  let distortion = total_distortion ~weights ~points ~assignments ~centroids in
   { k; assignments; centroids; distortion; iterations = !iterations }
 
 (* --- pruned (Hamerly) Lloyd -------------------------------------------- *)
@@ -230,11 +224,11 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
    comparison is what makes pruned assignments bit-identical to the
    reference, not merely approximately equal. *)
 
-let assign_chunk_pruned ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
+let assign_pruned ~centroids ~points ~assignments ~upper ~lower =
   let k = Array.length centroids in
   let changed = ref false in
   let evals = ref 0 in
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length points - 1 do
     if not (upper.(i) < lower.(i)) then begin
       let p = points.(i) in
       let a = assignments.(i) in
@@ -257,10 +251,11 @@ let assign_chunk_pruned ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
   done;
   (!changed, !evals)
 
-let assign_chunk_full ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
+let assign_full ~centroids ~points ~assignments ~upper ~lower =
   let k = Array.length centroids in
+  let n = Array.length points in
   let changed = ref false in
-  for i = lo to hi - 1 do
+  for i = 0 to n - 1 do
     let best, best_d, second_d = nearest_two ~centroids ~k points.(i) in
     upper.(i) <- sqrt best_d;
     lower.(i) <- sqrt second_d;
@@ -269,24 +264,18 @@ let assign_chunk_full ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
       changed := true
     end
   done;
-  (!changed, (hi - lo) * k)
+  (!changed, n * k)
 
-let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
+let run_once_pruned rng ~max_iters ~k ~weights ~points =
   let n = Array.length points in
   let centroids = seed_plus_plus rng ~k ~weights ~points in
   let assignments = Array.make n (-1) in
   let upper = Array.make n infinity in
   let lower = Array.make n 0.0 in
-  let chunks = chunk_bounds n in
-  let assign chunk_fn =
-    let flags =
-      Scheduler.parallel_map ~jobs
-        (chunk_fn ~centroids ~points ~assignments ~upper ~lower)
-        chunks
-    in
-    let evals = List.fold_left (fun acc (_, e) -> acc + e) 0 flags in
+  let assign assign_fn =
+    let changed, evals = assign_fn ~centroids ~points ~assignments ~upper ~lower in
     Metrics.incr ~by:evals (Lazy.force m_distance_evals);
-    List.exists (fun (changed, _) -> changed) flags
+    changed
   in
   let old = Array.init k (fun _ -> [||]) in
   let drift = Array.make k 0.0 in
@@ -294,7 +283,7 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
     for c = 0 to k - 1 do
       old.(c) <- centroids.(c)
     done;
-    recompute_centroids ~jobs ~weights ~points ~assignments ~centroids;
+    recompute_centroids ~weights ~points ~assignments ~centroids;
     let max_drift = ref 0.0 in
     for c = 0 to k - 1 do
       let d = sqrt (Stats.sq_distance old.(c) centroids.(c)) in
@@ -315,11 +304,11 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
     let changed =
       if !first then begin
         first := false;
-        let (_ : bool) = assign assign_chunk_full in
+        let (_ : bool) = assign assign_full in
         (* From the -1 state every point changes, like the reference. *)
         true
       end
-      else assign assign_chunk_pruned
+      else assign assign_pruned
     in
     if changed then begin
       recompute_and_loosen ();
@@ -330,63 +319,12 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
   (* Ensure assignments reflect the final centroids (the bounds were
      loosened after the last recompute, so the pruned pass is exact). *)
   let (_ : bool) =
-    if !first then assign assign_chunk_full else assign assign_chunk_pruned
+    if !first then assign assign_full else assign assign_pruned
   in
-  let distortion = total_distortion ~jobs ~weights ~points ~assignments ~centroids in
+  let distortion = total_distortion ~weights ~points ~assignments ~centroids in
   Metrics.incr (Lazy.force m_runs);
   Metrics.incr ~by:!iterations (Lazy.force m_iterations);
   { k; assignments; centroids; distortion; iterations = !iterations }
-
-(* --- mini-batch (Sculley) ----------------------------------------------- *)
-
-(* Web-scale k-means (Sculley, WWW 2010), weighted: centroids are seeded
-   with k-means++ exactly like the batch modes, then updated online from
-   fixed-size contiguous batches — for each batch member, the nearest
-   centroid [c] takes a step of [w / W_c] toward the point, where [W_c]
-   is the total weight ever assigned to [c].  Contiguous batches cycled
-   in order (not sampled) keep the procedure deterministic for a given
-   seed.  This trades the batch modes' exact Lloyd fixpoint for
-   per-batch O(batch · k) work and O(k · dim) state, which is what lets
-   clustering keep up with a streamed profile; it is NOT bit-identical
-   to [run] — the full-batch mode remains the reference the qcheck
-   properties compare against. *)
-let run_once_minibatch rng ~batch_size ~max_iters ~k ~weights ~points =
-  let n = Array.length points in
-  let dim = Array.length points.(0) in
-  let centroids = seed_plus_plus rng ~k ~weights ~points in
-  (* seed_plus_plus aliases chosen points; updates below mutate. *)
-  for c = 0 to k - 1 do
-    centroids.(c) <- Array.copy centroids.(c)
-  done;
-  let opened_mass = Array.make k 0.0 in
-  let n_batches = (n + batch_size - 1) / batch_size in
-  let evals = ref 0 in
-  for step = 0 to max_iters - 1 do
-    let b = step mod n_batches in
-    let lo = b * batch_size and hi = min n ((b + 1) * batch_size) in
-    for i = lo to hi - 1 do
-      let p = points.(i) in
-      let best, _, _ = nearest_two ~centroids ~k p in
-      evals := !evals + k;
-      let w = weights.(i) in
-      let mass = opened_mass.(best) +. w in
-      opened_mass.(best) <- mass;
-      let eta = w /. mass in
-      let ctr = centroids.(best) in
-      for j = 0 to dim - 1 do
-        ctr.(j) <- ctr.(j) +. (eta *. (p.(j) -. ctr.(j)))
-      done
-    done
-  done;
-  Metrics.incr ~by:!evals (Lazy.force m_distance_evals);
-  let assignments = Array.make n (-1) in
-  let (_ : bool) = assign_all ~centroids ~points ~assignments in
-  let distortion =
-    total_distortion ~jobs:1 ~weights ~points ~assignments ~centroids
-  in
-  Metrics.incr (Lazy.force m_runs);
-  Metrics.incr ~by:max_iters (Lazy.force m_iterations);
-  { k; assignments; centroids; distortion; iterations = max_iters }
 
 (* --- drivers ------------------------------------------------------------ *)
 
@@ -401,22 +339,14 @@ let run_restarts ~run_once ~seed ~restarts ~max_iters ~k ~weights ~points =
   done;
   !best
 
-let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ?(jobs = 1) ~k ~weights
-    ~points () =
-  run_restarts ~run_once:(run_once_pruned ~jobs) ~seed ~restarts ~max_iters ~k
-    ~weights ~points
+let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights ~points () =
+  run_restarts ~run_once:run_once_pruned ~seed ~restarts ~max_iters ~k ~weights
+    ~points
 
 let run_reference ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights
     ~points () =
   run_restarts ~run_once:run_once_reference ~seed ~restarts ~max_iters ~k
     ~weights ~points
-
-let run_minibatch ?(seed = 493) ?(restarts = 5) ?(batch_size = 256)
-    ?(max_iters = 100) ~k ~weights ~points () =
-  if batch_size < 1 then invalid_arg "Kmeans.run_minibatch: batch_size must be >= 1";
-  run_restarts
-    ~run_once:(run_once_minibatch ~batch_size)
-    ~seed ~restarts ~max_iters ~k ~weights ~points
 
 let cluster_weights result ~weights =
   let totals = Array.make result.k 0.0 in

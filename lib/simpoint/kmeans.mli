@@ -15,12 +15,11 @@
 
     {!run} prunes the assignment step with Hamerly-style triangle-
     inequality bounds (per-point upper/lower distance bounds, invalidated
-    by centroid drift) and can run assignment, accumulation, and
-    distortion domain-parallel.  Point-order floating-point reductions
-    follow one canonical fixed-chunk order regardless of [jobs], so the
-    result is bit-identical to {!run_reference} — the plain Lloyd
-    implementation kept as the semantic reference — for every [jobs]
-    (the test suite proves this on random weighted point sets). *)
+    by centroid drift).  Point-order floating-point reductions follow one
+    canonical fixed-chunk order, so the result is bit-identical to
+    {!run_reference} — the plain Lloyd implementation kept as the
+    semantic reference (the test suite proves this on random weighted
+    point sets). *)
 
 type result = {
   k : int;
@@ -35,39 +34,14 @@ val run :
   ?seed:int ->
   ?restarts:int ->
   ?max_iters:int ->
-  ?jobs:int ->
   k:int ->
   weights:float array ->
   points:float array array ->
   unit ->
   result
 (** Best-of-[restarts] (default 5) by distortion, with Hamerly-pruned
-    assignment.  [jobs] (default 1) is the worker-domain cap for the
-    per-chunk parallel phases; any value returns bit-identical results.
-    All weights must be > 0 and [1 <= k <= Array.length points].
+    assignment.  All weights must be > 0 and [1 <= k <= Array.length points].
     @raise Invalid_argument on bad arguments. *)
-
-val run_minibatch :
-  ?seed:int ->
-  ?restarts:int ->
-  ?batch_size:int ->
-  ?max_iters:int ->
-  k:int ->
-  weights:float array ->
-  points:float array array ->
-  unit ->
-  result
-(** Mini-batch k-means (Sculley): k-means++ seeding as in {!run}, then
-    [max_iters] (default 100) online updates from contiguous batches of
-    [batch_size] (default 256) points cycled in order — each batch
-    member pulls its nearest centroid by [w / W_c], the learning rate
-    that makes the centroid the running weighted mean of everything ever
-    assigned to it.  O(batch · k) per step and O(k · dim) state, for
-    clustering profiles too long for full Lloyd sweeps.  Deterministic
-    for a given seed, but NOT bit-identical to {!run}; [iterations]
-    reports batch steps.  Final assignments and distortion come from one
-    exact full pass over the points.
-    @raise Invalid_argument on bad arguments or [batch_size < 1]. *)
 
 val run_reference :
   ?seed:int ->
@@ -78,9 +52,9 @@ val run_reference :
   points:float array array ->
   unit ->
   result
-(** Plain sequential Lloyd over full distance scans — the reference
+(** Plain Lloyd over full distance scans — the reference
     {!run} is tested against.  Same seeding, same canonical reduction
-    order, no pruning, no parallelism. *)
+    order, no pruning. *)
 
 val cluster_weights : result -> weights:float array -> float array
 (** Total weight per cluster; sums to the total input weight. *)

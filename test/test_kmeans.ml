@@ -125,6 +125,45 @@ let test_closest_to_centroid () =
         points)
     reps
 
+(* Absolute pin of [run] on a fixed weighted set that spans three
+   256-point chunks.  [run] and [run_reference] share the chunked
+   centroid accumulation and distortion fold, so the property below
+   cannot see a change to that shared summation order; these recorded
+   bits can.  Seven overlapping 15-dim blobs keep Lloyd iterating long
+   enough for the pruned assignment to matter. *)
+let pinned_set () =
+  let rng = Rng.create ~seed:2024 in
+  let n = 700 and dims = 15 and blobs = 7 in
+  let centres =
+    Array.init blobs (fun _ ->
+        Array.init dims (fun _ -> 20.0 *. (Rng.float rng -. 0.5)))
+  in
+  let points =
+    Array.init n (fun i ->
+        Array.map (fun c -> c +. (4.0 *. Rng.gaussian rng)) centres.(i mod blobs))
+  in
+  let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+  (weights, points)
+
+let digest_of f xs =
+  Digest.to_hex (Digest.string (String.concat "," (List.map f xs)))
+
+let test_pinned_multichunk () =
+  let weights, points = pinned_set () in
+  let r = Kmeans.run ~seed:11 ~k:8 ~weights ~points ~restarts:3 () in
+  let bits x = Int64.to_string (Int64.bits_of_float x) in
+  Alcotest.(check int64) "distortion bits" 4685059671420677308L
+    (Int64.bits_of_float r.Kmeans.distortion);
+  Tutil.check_int "iterations" 6 r.Kmeans.iterations;
+  Alcotest.(check string) "centroid bits digest"
+    "fece5413917afef68927c3ea39ea4e97"
+    (digest_of
+       (fun c -> digest_of bits (Array.to_list c))
+       (Array.to_list r.Kmeans.centroids));
+  Alcotest.(check string) "assignments digest"
+    "7eebb7252344ec7dee62c86a70dcc89e"
+    (digest_of string_of_int (Array.to_list r.Kmeans.assignments))
+
 let prop_weighted_centroid_invariant =
   (* After convergence, each centroid is the weighted mean of its members. *)
   QCheck.Test.make ~name:"centroids are weighted member means" ~count:30
@@ -154,80 +193,15 @@ let prop_weighted_centroid_invariant =
       done;
       !ok)
 
-(* Mini-batch k-means (the streaming pipeline's clustering option):
-   deterministic, correct on separable data, comparable distortion to
-   full-batch Lloyd — but NOT bit-identical to it, which is why [run]
-   stays the qcheck reference. *)
-let test_minibatch_recovers_blobs () =
-  let points = blobs () in
-  let r =
-    Kmeans.run_minibatch ~k:3 ~weights:(uniform 60) ~points ~batch_size:16 ()
-  in
-  Tutil.check_int "k" 3 r.Kmeans.k;
-  let label_of_blob b = r.Kmeans.assignments.(b * 20) in
-  for b = 0 to 2 do
-    for i = 0 to 19 do
-      Tutil.check_int "blob is one cluster" (label_of_blob b)
-        r.Kmeans.assignments.((b * 20) + i)
-    done
-  done;
-  let labels =
-    List.sort_uniq compare
-      [ label_of_blob 0; label_of_blob 1; label_of_blob 2 ]
-  in
-  Tutil.check_int "three distinct labels" 3 (List.length labels)
-
-let test_minibatch_deterministic () =
-  let points = blobs ~seed:17 () in
-  let weights = Array.init 60 (fun i -> 1.0 +. (0.01 *. float_of_int i)) in
-  let a = Kmeans.run_minibatch ~k:4 ~weights ~points () in
-  let b = Kmeans.run_minibatch ~k:4 ~weights ~points () in
-  Tutil.check_bool "identical across runs" true (a = b)
-
-let test_minibatch_comparable_distortion () =
-  let points = blobs ~per:40 ~seed:23 () in
-  let weights = uniform 120 in
-  let full = Kmeans.run ~k:3 ~weights ~points () in
-  let mini =
-    Kmeans.run_minibatch ~k:3 ~weights ~points ~batch_size:32 ()
-  in
-  (* same separable structure: mini-batch may land slightly higher, but
-     within a small factor of Lloyd's converged distortion *)
-  Tutil.check_bool "distortion within 1.5x of full-batch" true
-    (mini.Kmeans.distortion <= (1.5 *. full.Kmeans.distortion) +. 1e-9)
-
-let test_minibatch_batch_larger_than_n () =
-  let points = blobs () in
-  let r =
-    Kmeans.run_minibatch ~k:3 ~weights:(uniform 60) ~points ~batch_size:10_000
-      ()
-  in
-  Tutil.check_int "assignments cover points" 60
-    (Array.length r.Kmeans.assignments);
-  Array.iter
-    (fun c -> Tutil.check_bool "assignment in range" true (c >= 0 && c < 3))
-    r.Kmeans.assignments
-
-let test_minibatch_invalid_batch_size () =
-  Alcotest.check_raises "batch_size 0"
-    (Invalid_argument "Kmeans.run_minibatch: batch_size must be >= 1")
-    (fun () ->
-      ignore
-        (Kmeans.run_minibatch ~k:2 ~weights:(uniform 4)
-           ~points:
-             [| [| 0.0 |]; [| 1.0 |]; [| 2.0 |]; [| 3.0 |] |]
-           ~batch_size:0 ()))
-
-let prop_pruned_parallel_matches_reference =
-  (* The tentpole bit-identity claim: the Hamerly-pruned, domain-parallel
-     clustering returns EXACTLY the plain-Lloyd reference result —
-     assignments, centroids, distortion and iteration count — for any
-     worker count. *)
-  QCheck.Test.make ~name:"pruned/parallel k-means = reference Lloyd" ~count:20
+let prop_pruned_matches_reference =
+  (* The Hamerly-pruned clustering returns EXACTLY the plain-Lloyd
+     reference result — assignments, centroids, distortion and iteration
+     count.  n spans one to three 256-point chunks. *)
+  QCheck.Test.make ~name:"pruned k-means = reference Lloyd" ~count:20
     QCheck.(pair (int_range 0 1000) (int_range 2 6))
     (fun (seed, k) ->
       let rng = Rng.create ~seed:(seed + 7_000) in
-      let n = 40 + Rng.int rng ~bound:80 in
+      let n = 40 + Rng.int rng ~bound:661 in
       let dims = 2 + Rng.int rng ~bound:6 in
       let points =
         Array.init n (fun _ ->
@@ -237,14 +211,11 @@ let prop_pruned_parallel_matches_reference =
       let reference =
         Kmeans.run_reference ~seed ~k ~weights ~points ~restarts:2 ()
       in
-      List.for_all
-        (fun jobs ->
-          let r = Kmeans.run ~seed ~k ~weights ~points ~restarts:2 ~jobs () in
-          r.Kmeans.assignments = reference.Kmeans.assignments
-          && r.Kmeans.centroids = reference.Kmeans.centroids
-          && r.Kmeans.distortion = reference.Kmeans.distortion
-          && r.Kmeans.iterations = reference.Kmeans.iterations)
-        [ 1; 2; 4 ])
+      let r = Kmeans.run ~seed ~k ~weights ~points ~restarts:2 () in
+      r.Kmeans.assignments = reference.Kmeans.assignments
+      && r.Kmeans.centroids = reference.Kmeans.centroids
+      && r.Kmeans.distortion = reference.Kmeans.distortion
+      && r.Kmeans.iterations = reference.Kmeans.iterations)
 
 let () =
   Alcotest.run "kmeans"
@@ -256,16 +227,11 @@ let () =
           Tutil.quick "deterministic" test_deterministic_given_seed;
           Tutil.quick "k = n" test_k_equals_n;
           Tutil.quick "duplicate points" test_duplicate_points;
-          Tutil.quick "invalid args" test_invalid_args ] );
+          Tutil.quick "invalid args" test_invalid_args;
+          Tutil.quick "pinned multi-chunk result" test_pinned_multichunk ] );
       ( "selection",
         [ Tutil.quick "cluster weights" test_cluster_weights;
           Tutil.quick "closest to centroid" test_closest_to_centroid ] );
-      ( "minibatch",
-        [ Tutil.quick "recovers blobs" test_minibatch_recovers_blobs;
-          Tutil.quick "deterministic" test_minibatch_deterministic;
-          Tutil.quick "comparable distortion" test_minibatch_comparable_distortion;
-          Tutil.quick "batch > n" test_minibatch_batch_larger_than_n;
-          Tutil.quick "invalid batch size" test_minibatch_invalid_batch_size ] );
       ( "properties",
         [ Tutil.qcheck_case prop_weighted_centroid_invariant;
-          Tutil.qcheck_case prop_pruned_parallel_matches_reference ] ) ]
+          Tutil.qcheck_case prop_pruned_matches_reference ] ) ]

@@ -69,9 +69,9 @@ let test_apply_all () =
   Tutil.check_int "apply_all count" 5 (Array.length out);
   Array.iter (fun v -> Tutil.check_int "apply_all dims" 2 (Array.length v)) out
 
-(* Parallel apply_all and the buffer-reusing apply_into must agree exactly
-   with per-row apply, for any worker count. *)
-let test_apply_all_parallel_identical () =
+(* apply_all and the buffer-reusing project_into must agree exactly with
+   per-row apply. *)
+let test_apply_all_identical () =
   let in_dim = 120 and out_dim = 15 in
   let p = Projection.create ~seed:17 ~in_dim ~out_dim in
   let rng = Rng.create ~seed:18 in
@@ -80,23 +80,21 @@ let test_apply_all_parallel_identical () =
         Array.init in_dim (fun j -> if j mod 4 = 0 then Rng.float rng else 0.0))
   in
   let expected = Array.map (Projection.apply p) vs in
-  List.iter
-    (fun jobs ->
-      let got = Projection.apply_all ~jobs p vs in
-      Tutil.check_bool
-        (Printf.sprintf "apply_all jobs=%d bit-identical to per-row apply" jobs)
-        true
-        (got = expected))
-    [ 1; 2; 4 ];
+  Tutil.check_bool "apply_all bit-identical to per-row apply" true
+    (Projection.apply_all p vs = expected);
   let buf = Array.make out_dim nan in
-  Projection.apply_into p vs.(0) buf;
-  Tutil.check_bool "apply_into bit-identical to apply" true (buf = expected.(0))
+  Array.iteri
+    (fun r v ->
+      Projection.project_into p v buf;
+      Tutil.check_bool "project_into bit-identical to apply" true
+        (buf = expected.(r)))
+    vs
 
-let test_apply_into_bad_buffer () =
+let test_project_into_bad_buffer () =
   let p = Projection.create ~seed:3 ~in_dim:10 ~out_dim:4 in
   Alcotest.check_raises "wrong output length"
-    (Invalid_argument "Projection.apply_into: output buffer length mismatch")
-    (fun () -> Projection.apply_into p (Array.make 10 0.0) (Array.make 3 0.0))
+    (Invalid_argument "Projection.project_into: output buffer length mismatch")
+    (fun () -> Projection.project_into p (Array.make 10 0.0) (Array.make 3 0.0))
 
 let () =
   Alcotest.run "projection"
@@ -109,5 +107,5 @@ let () =
           Tutil.quick "invalid create" test_invalid_create;
           Tutil.quick "distance separation" test_distance_separation;
           Tutil.quick "apply_all" test_apply_all;
-          Tutil.quick "apply_all parallel identical" test_apply_all_parallel_identical;
-          Tutil.quick "apply_into bad buffer" test_apply_into_bad_buffer ] ) ]
+          Tutil.quick "apply_all identical" test_apply_all_identical;
+          Tutil.quick "project_into bad buffer" test_project_into_bad_buffer ] ) ]

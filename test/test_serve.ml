@@ -4,7 +4,7 @@
    coalescing to one compute, a tiny queue shedding under load, and a
    clean drain on stop. *)
 
-module Jsonx = Cbsp_serve.Jsonx
+module Jsonx = Cbsp_json.Jsonx
 module Protocol = Cbsp_serve.Protocol
 module Quota = Cbsp_serve.Quota
 module Server = Cbsp_serve.Server
@@ -54,7 +54,8 @@ let prop_jsonx_string_roundtrip =
     QCheck.(string_of_size Gen.(0 -- 60))
     (fun s ->
       let v = Jsonx.Str s in
-      Jsonx.of_string (Jsonx.to_string v) = v)
+      Jsonx.of_string (Jsonx.to_string v) = v
+      && Jsonx.quote s = Jsonx.to_string v)
 
 let test_jsonx_rejects_malformed () =
   List.iter
