@@ -254,26 +254,21 @@ let kernel ?baseline ?reference name f =
   { ks_name = name; ks_baseline = baseline; ks_reference = reference;
     ks_test = Test.make ~name (Staged.stage f) }
 
-let fli_pass run_fn () =
+let fli_pass () =
   let obs, read =
     Interval.fli_observer ~n_blocks:tiny_binary.Binary.n_blocks ~target:10_000 ()
   in
-  let (_ : Executor.totals) = run_fn tiny_binary bench_input obs in
+  let (_ : Executor.totals) = Executor.run tiny_binary bench_input obs in
   read ()
 
 let kernel_specs =
-  [ (* executor: flat interpreter vs tree-walking reference *)
+  [ (* executor: address-free passes *)
     kernel "exec/run_tiny"
       ~baseline:(List.assoc "exec/run_tiny" seed_baseline_ns)
-      ~reference:"exec/run_tiny_tree"
       (fun () -> Executor.run tiny_binary bench_input Executor.null_observer);
-    kernel "exec/run_tiny_tree"
-      (fun () -> Executor.run_tree tiny_binary bench_input Executor.null_observer);
     kernel "exec/fli_pass_tiny"
       ~baseline:(List.assoc "exec/fli_pass_tiny" seed_baseline_ns)
-      ~reference:"exec/fli_pass_tiny_tree"
-      (fli_pass Executor.run);
-    kernel "exec/fli_pass_tiny_tree" (fli_pass Executor.run_tree);
+      fli_pass;
     (* k-means: Hamerly-pruned vs plain Lloyd *)
     kernel "kmeans/k8_150pts"
       ~baseline:(List.assoc "kmeans/k8_150pts" seed_baseline_ns)

@@ -16,9 +16,10 @@ let observer t =
         t.t_insts <- t.t_insts + insts;
         t.t_cycles <- t.t_cycles +. float_of_int insts);
     on_access =
-      (fun addr is_write ->
-        let stall = Hierarchy.access t.hier ~addr ~is_write in
-        t.t_cycles <- t.t_cycles +. float_of_int stall) }
+      Some
+        (fun addr is_write ->
+          let stall = Hierarchy.access t.hier ~addr ~is_write in
+          t.t_cycles <- t.t_cycles +. float_of_int stall) }
 
 let cycles t = t.t_cycles
 

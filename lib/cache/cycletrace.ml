@@ -33,10 +33,8 @@ type sim = {
   cur : int array;        (* live: the open block's accesses by depth *)
   misses : int array;     (* per-level misses of all closed blocks *)
   mutable insts : int;
-  mutable accesses : int; (* accesses of all closed blocks (live), or all
-                             accesses so far (replay) *)
+  mutable accesses : int; (* accesses of all closed blocks *)
   mutable records : int;
-  mutable fresh : bool;   (* replay: a block began, its record is unread *)
   cur_bytes : cursor;
 }
 
@@ -50,7 +48,7 @@ let make config ~hier ~replaying ~cursor =
   in
   { s_config = config; n_levels = n; lat; hier; replaying;
     cur = Array.make (n + 1) 0; misses = Array.make n 0; insts = 0;
-    accesses = 0; records = 0; fresh = true; cur_bytes = cursor }
+    accesses = 0; records = 0; cur_bytes = cursor }
 
 let live ?(config = Hierarchy.paper_table1) () =
   make config ~hier:(Some (Hierarchy.create config)) ~replaying:None
@@ -195,60 +193,46 @@ let read_block s =
   end;
   s.records <- s.records + 1
 
-(* A live sim closes the previous block at each block event; a replay
-   reads a block's record at its first access, so blocks without
-   accesses cost neither a byte nor a decode.  Either way a block's
-   misses are counted before the next block or marker event, the only
-   points where interval builders read the model. *)
+(* Both modes settle a block at its access-count event, which fires
+   only for blocks with accesses: a live sim closes the block and writes
+   its record, a replay reads the record back.  Blocks without accesses
+   cost neither a byte nor a decode, and no mode reads anything per
+   access but the live hierarchy.  Either way a block's misses are
+   counted before the next block or marker event, the only points where
+   interval builders read the model. *)
 let observer s =
+  let on_block _ insts = s.insts <- s.insts + insts in
   match s.hier with
   | Some hier ->
-    { Executor.on_block =
-        (fun _ insts ->
-          s.insts <- s.insts + insts;
-          close_block s);
+    { Executor.null_observer with
+      Executor.on_block;
       on_access =
-        (fun addr is_write ->
-          let d = Hierarchy.access_depth hier ~addr ~is_write in
-          s.cur.(d) <- s.cur.(d) + 1);
-      on_marker = (fun _ -> ()) }
+        Some
+          (fun addr is_write ->
+            let d = Hierarchy.access_depth hier ~addr ~is_write in
+            s.cur.(d) <- s.cur.(d) + 1);
+      on_access_count = (fun _ -> close_block s) }
   | None ->
-    { Executor.on_block =
-        (fun _ insts ->
-          s.insts <- s.insts + insts;
-          s.fresh <- true);
-      on_access =
-        (fun _ _ ->
-          if s.fresh then begin
-            s.fresh <- false;
-            read_block s
-          end;
-          s.accesses <- s.accesses + 1);
-      on_marker = (fun _ -> ()) }
+    { Executor.null_observer with
+      Executor.on_block;
+      on_access_count =
+        (fun n ->
+          read_block s;
+          s.accesses <- s.accesses + n) }
 
 (* --- model readings --------------------------------------------------- *)
 
-(* [f accesses misses_of_level], counting the open live block too (its
-   accesses are still in [cur] by depth; a replay's [cur] is all zero). *)
-let with_totals s f =
-  let n = s.n_levels in
-  let deeper = ref 0 in
-  let misses = Array.make n 0 in
-  for k = n downto 1 do
-    deeper := !deeper + s.cur.(k);
-    misses.(k - 1) <- s.misses.(k - 1) + !deeper
-  done;
-  f (s.accesses + !deeper + s.cur.(0)) misses
-
+(* Readings see closed blocks only.  A block closes at its count event,
+   before the next block or marker event, so every point where interval
+   builders read the model sees all the accesses so far. *)
 let cycles s =
-  with_totals s (fun accesses misses ->
-      (* Every access pays the first latency; each level it misses adds
-         the step to the next one. *)
-      let c = ref (s.insts + (accesses * s.lat.(0))) in
-      for k = 0 to s.n_levels - 1 do
-        c := !c + (misses.(k) * (s.lat.(k + 1) - s.lat.(k)))
-      done;
-      float_of_int !c)
+  (* Every access pays the first latency; each level it misses adds the
+     step to the next one. *)
+  let c = ref (s.insts + (s.accesses * s.lat.(0))) in
+  for k = 0 to s.n_levels - 1 do
+    c := !c + (s.misses.(k) * (s.lat.(k + 1) - s.lat.(k)))
+  done;
+  float_of_int !c
 
 let insts s = s.insts
 
@@ -259,14 +243,13 @@ let extra_counter_names s =
   @ [ "dram_accesses"; "accesses" ]
 
 let extra_counters s =
-  with_totals s (fun accesses misses ->
-      let n = s.n_levels in
-      Array.init (n + 2) (fun i ->
-          if i < n then float_of_int misses.(i)
-          else if i = n then
-            float_of_int (if n = 0 then accesses else misses.(n - 1))
-          else if n = 0 then 0.0 (* no first level to count accesses *)
-          else float_of_int accesses))
+  let n = s.n_levels in
+  Array.init (n + 2) (fun i ->
+      if i < n then float_of_int s.misses.(i)
+      else if i = n then
+        float_of_int (if n = 0 then s.accesses else s.misses.(n - 1))
+      else if n = 0 then 0.0 (* no first level to count accesses *)
+      else float_of_int s.accesses)
 
 let finish s =
   match s.replaying with

@@ -7,7 +7,7 @@
       trace: for every block event followed by accesses, how many of
       those accesses (up to the next block event) missed each level;
     - {!replay} reads such a trace back and attaches no hierarchy at
-      all.
+      all; its observer reads no addresses.
 
     Both modes expose the same {!cycles} and {!extra_counters} as
     {!Cpu}, and both are exact: levels exchange no traffic, so an
@@ -19,9 +19,11 @@
     cut.  All sums are integers below 2{^53}, so the float totals agree
     with {!Cpu}'s running float sum bit for bit.
 
-    {b Encoding.}  One record per block event that has accesses; a
-    replay reads it at the block's first access, so blocks without
-    accesses cost neither a byte nor a decode.  A record's first byte
+    {b Encoding.}  One record per block event that has accesses.  A
+    live sim writes it, and a replay reads it, at the block's
+    {!Cbsp_exec.Executor.observer.on_access_count} event, so blocks
+    without accesses cost neither a byte nor a decode, and a replay
+    reads no addresses at all: its executor pass generates none.  A record's first byte
     is a dictionary code for the miss counts of the first three levels,
     one code per ordered triple [9 >= m1 >= m2 >= m3 >= 0] (deeper
     levels never miss more often than shallower ones); byte 255 escapes

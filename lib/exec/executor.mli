@@ -6,7 +6,10 @@
     - [on_block id insts]: a machine basic block (or the back-edge tail of
       a loop, attributed to the loop header's id) executed;
     - [on_access addr is_write]: one data-memory access (emitted after the
-      block that performs it);
+      block that performs it), only to observers that read addresses;
+    - [on_access_count n]: the block's [n > 0] accesses are done — fired
+      after the block's last access and before the next block or marker
+      event, to every observer, whether or not addresses are generated;
     - [on_marker key]: a marker site executed — procedure entry (before
       the callee body), loop entry (before the header block), loop
       back-edge (after the back-edge instructions).
@@ -19,7 +22,10 @@
 
 type observer = {
   on_block : int -> int -> unit;
-  on_access : int -> bool -> unit;
+  on_access : (int -> bool -> unit) option;
+      (** [None]: the observer reads no addresses.  Only the live cache
+          models and trace recording read them. *)
+  on_access_count : int -> unit;
   on_marker : Cbsp_compiler.Marker.key -> unit;
 }
 
@@ -33,10 +39,12 @@ and totals = {
 (* [Marker] below refers to [Cbsp_compiler.Marker]. *)
 
 val null_observer : observer
-(** Ignores everything (for pure instruction counting via totals). *)
+(** Ignores everything and reads no addresses. *)
 
 val compose : observer list -> observer
-(** Fans every event out to each observer, in list order. *)
+(** Fans every event out to each observer, in list order.  The composite
+    reads addresses iff some part does, and passes each access only to
+    the parts that read them. *)
 
 val counting_observer : unit -> observer * (unit -> int)
 (** An observer that only counts instructions, and its reader. *)
@@ -46,19 +54,11 @@ val run : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
     ({!Cbsp_compiler.Binary.flat}): contiguous statement arrays, access
     patterns pre-decoded so the per-element inner loops carry no match or
     closure dispatch, pre-allocated marker keys, and dense line-counter
-    slots in place of the reference interpreter's hashtable.
+    slots.
 
-    Passing {!null_observer} itself (physical identity) selects a
-    counting-only fast path: the returned totals are identical, but the
-    address streams — observable only through the observer — are never
-    materialized. *)
-
-val run_tree : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
-(** The tree-walking reference interpreter (the executor as originally
-    written).  [run] and [run_tree] emit bit-identical event streams and
-    totals for every (binary, input, observer); the test suite checks
-    this on random programs.  Kept for equivalence testing and as
-    executable documentation of the semantics.
-    @raise Not_found if an [MCall] targets a procedure missing from the
-    binary (cannot happen for binaries built by
-    {!Cbsp_compiler.Lower.compile} on validated programs). *)
+    Addresses are generated only when [obs.on_access] is [Some _].  The
+    per-array cursors and RNG streams feed addresses and nothing else, so
+    an address-free run delivers the same block, marker and count events
+    and the same totals, with no address work and no call per access.
+    Runs that generate addresses are counted in the
+    [executor.address_runs] metric. *)

@@ -15,10 +15,12 @@ let fail fmt =
     fmt
 
 let recording_observer oc =
-  { Executor.on_block = (fun id insts -> Printf.fprintf oc "B %d %d\n" id insts);
+  { Executor.null_observer with
+    Executor.on_block = (fun id insts -> Printf.fprintf oc "B %d %d\n" id insts);
     on_access =
-      (fun addr is_write ->
-        Printf.fprintf oc "A %d %c\n" addr (if is_write then 'w' else 'r'));
+      Some
+        (fun addr is_write ->
+          Printf.fprintf oc "A %d %c\n" addr (if is_write then 'w' else 'r'));
     on_marker =
       (fun key -> Printf.fprintf oc "M %s\n" (Marker.to_string key)) }
 
@@ -26,10 +28,23 @@ let record ~path binary input =
   Io.with_out_file path (fun oc ->
       Executor.run binary input (recording_observer oc))
 
+(* Block ids, instruction counts and addresses are all non-negative. *)
+let nat_of_string s =
+  match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None
+
 let replay_channel ic (obs : Executor.observer) =
   let insts = ref 0 and blocks = ref 0 and accesses = ref 0 and markers = ref 0 in
   let lineno = ref 0 in
   let events = ref 0 in
+  (* Accesses since the last block event, delivered as its count before
+     the next block or marker event, or at the end of the stream. *)
+  let pending = ref 0 in
+  let flush_count () =
+    if !pending > 0 then begin
+      obs.Executor.on_access_count !pending;
+      pending := 0
+    end
+  in
   (try
      while true do
        let line = input_line ic in
@@ -37,23 +52,26 @@ let replay_channel ic (obs : Executor.observer) =
        if line <> "" then begin
          (match String.split_on_char ' ' line with
           | [ "B"; id; n ] -> begin
-            match (int_of_string_opt id, int_of_string_opt n) with
+            match (nat_of_string id, nat_of_string n) with
             | Some id, Some n ->
+              flush_count ();
               insts := !insts + n;
               incr blocks;
               obs.Executor.on_block id n
             | _ -> fail "line %d: bad block event" !lineno
           end
           | [ "A"; addr; rw ] -> begin
-            match (int_of_string_opt addr, rw) with
+            match (nat_of_string addr, rw) with
             | Some addr, ("r" | "w") ->
               incr accesses;
-              obs.Executor.on_access addr (rw = "w")
+              incr pending;
+              Option.iter (fun f -> f addr (rw = "w")) obs.Executor.on_access
             | _ -> fail "line %d: bad access event" !lineno
           end
           | [ "M"; key ] -> begin
             match Marker.of_string key with
             | Some key ->
+              flush_count ();
               incr markers;
               obs.Executor.on_marker key
             | None -> fail "line %d: bad marker %S" !lineno key
@@ -63,6 +81,7 @@ let replay_channel ic (obs : Executor.observer) =
        end
      done
    with End_of_file -> ());
+  flush_count ();
   Metrics.incr ~by:!events (Lazy.force m_events);
   { Executor.insts = !insts; blocks = !blocks; accesses = !accesses;
     markers = !markers }

@@ -27,6 +27,11 @@ exception Parse_error of string
 
 val replay_channel : in_channel -> Executor.observer -> Executor.totals
 (** Feed every event in the channel to the observer; totals are
-    recomputed from the stream.  @raise Parse_error on malformed lines. *)
+    recomputed from the stream.  The [A] lines after a block are
+    delivered as its [on_access_count] before the next [B] or [M] line
+    (or at the end), exactly as {!Executor.run} delivers them; their
+    addresses reach only an observer that reads addresses.
+    @raise Parse_error on malformed lines, including a negative block
+    id, instruction count or address. *)
 
 val replay : path:string -> Executor.observer -> Executor.totals

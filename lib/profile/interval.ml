@@ -115,8 +115,8 @@ let vli_recorder_stream ~n_blocks ~target ~mappable ?cycles ?extras ~emit () =
   let key_counts = Marker.Table.create 256 in
   let boundaries_rev = ref [] in
   let obs =
-    { Executor.on_block = (fun id insts -> acc_block acc id insts);
-      on_access = (fun _ _ -> ());
+    { Executor.null_observer with
+      Executor.on_block = (fun id insts -> acc_block acc id insts);
       on_marker =
         (fun key ->
           if mappable key then begin
@@ -150,8 +150,8 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
   let next = ref 0 in
   let total = Array.length boundaries in
   let obs =
-    { Executor.on_block = (fun id insts -> acc_block acc id insts);
-      on_access = (fun _ _ -> ());
+    { Executor.null_observer with
+      Executor.on_block = (fun id insts -> acc_block acc id insts);
       on_marker =
         (fun key ->
           if !next < total then begin

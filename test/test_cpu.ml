@@ -61,7 +61,7 @@ let prop_cpi_total =
       List.iter
         (fun (insts, addr) ->
           obs.Executor.on_block 0 insts;
-          obs.Executor.on_access addr (addr mod 2 = 0))
+          Option.get obs.Executor.on_access addr (addr mod 2 = 0))
         events;
       let cpi = Cpu.cpi cpu in
       if Cpu.insts cpu = 0 then Float.is_nan cpi
@@ -143,8 +143,8 @@ let samples binary ~cycles ~extras model =
   let acc = ref [] in
   let note () = acc := (cycles (), extras ()) :: !acc in
   let probe =
-    { Executor.on_block = (fun _ _ -> note ());
-      on_access = (fun _ _ -> ());
+    { Executor.null_observer with
+      Executor.on_block = (fun _ _ -> note ());
       on_marker = (fun _ -> note ()) }
   in
   let (_ : Executor.totals) =
@@ -262,12 +262,13 @@ let test_trace_size () =
   (* blocks followed by at least one access *)
   let with_access = ref 0 and open_block = ref false in
   let counter =
-    { Executor.on_block = (fun _ _ -> open_block := true);
+    { Executor.null_observer with
+      Executor.on_block = (fun _ _ -> open_block := true);
       on_access =
-        (fun _ _ ->
-          if !open_block then incr with_access;
-          open_block := false);
-      on_marker = (fun _ -> ()) }
+        Some
+          (fun _ _ ->
+            if !open_block then incr with_access;
+            open_block := false) }
   in
   let sim = Cycletrace.live () in
   let totals =

@@ -103,7 +103,7 @@ let collect_data_addrs binary =
   let obs =
     { Executor.null_observer with
       Executor.on_access =
-        (fun addr _ -> if addr < stack_floor then addrs := addr :: !addrs) }
+        Some (fun addr _ -> if addr < stack_floor then addrs := addr :: !addrs) }
   in
   let (_ : Executor.totals) = run binary obs in
   List.rev !addrs
@@ -219,13 +219,18 @@ let test_compose_order () =
 type event =
   | EBlock of int * int
   | EAccess of int * bool
+  | ECount of int
   | EMarker of Marker.key
 
-let event_stream run_fn binary =
+(* Every event, with addresses when [addresses], without otherwise. *)
+let event_stream ?(addresses = true) run_fn binary =
   let evs = ref [] in
   let obs =
     { Executor.on_block = (fun id insts -> evs := EBlock (id, insts) :: !evs);
-      on_access = (fun addr w -> evs := EAccess (addr, w) :: !evs);
+      on_access =
+        (if addresses then Some (fun addr w -> evs := EAccess (addr, w) :: !evs)
+         else None);
+      on_access_count = (fun n -> evs := ECount n :: !evs);
       on_marker = (fun k -> evs := EMarker k :: !evs) }
   in
   let totals = run_fn binary input obs in
@@ -235,9 +240,11 @@ let check_flat_matches_tree program ~loop_splitting =
   List.iteri
     (fun i binary ->
       let t_flat, e_flat = event_stream Executor.run binary in
-      let t_tree, e_tree = event_stream Executor.run_tree binary in
+      let t_tree, e_tree = event_stream Tree_exec.run binary in
       let tag msg = Printf.sprintf "binary %d: %s" i msg in
       Tutil.check_bool (tag "stream nonempty") true (e_flat <> []);
+      Tutil.check_bool (tag "has count events") true
+        (List.exists (function ECount _ -> true | _ -> false) e_flat);
       Tutil.check_bool (tag "event streams identical") true (e_flat = e_tree);
       Tutil.check_bool (tag "totals identical") true (t_flat = t_tree))
     (Tutil.compile_all ~loop_splitting program)
@@ -246,16 +253,35 @@ let test_flat_matches_tree () =
   check_flat_matches_tree (Tutil.two_phase_program ()) ~loop_splitting:false;
   check_flat_matches_tree (Tutil.splittable_program ()) ~loop_splitting:true
 
-(* The no-observer fast path skips all address computation; its totals
-   must still agree with a fully observed run. *)
+(* An address-free run skips all address computation; its block, count
+   and marker events and its totals must still agree with a run that
+   reads addresses, and each count must be the number of accesses the
+   block delivered. *)
 let test_fast_path_totals () =
   List.iter
     (fun binary ->
-      let fast = Executor.run binary input Executor.null_observer in
-      let obs, _ = Executor.counting_observer () in
-      let observed = Executor.run binary input obs in
+      let fast, e_fast = event_stream ~addresses:false Executor.run binary in
+      let observed, e_full = event_stream Executor.run binary in
       Tutil.check_bool "fast-path totals equal observed-run totals" true
-        (fast = observed))
+        (fast = observed);
+      Tutil.check_bool "same events but the addresses" true
+        (e_fast = List.filter (function EAccess _ -> false | _ -> true) e_full);
+      let pending =
+        List.fold_left
+          (fun pending ev ->
+            match ev with
+            | EAccess _ -> pending + 1
+            | ECount n ->
+              Tutil.check_int "count = accesses since the block" pending n;
+              0
+            | EBlock _ | EMarker _ ->
+              Tutil.check_int "count fired before the next event" 0 pending;
+              0)
+          0 e_full
+      in
+      Tutil.check_int "no accesses after the last count" 0 pending;
+      Tutil.check_int "null observer totals" observed.Executor.accesses
+        (Executor.run binary input Executor.null_observer).Executor.accesses)
     (Tutil.compile_all (Tutil.two_phase_program ()))
 
 (* Regression: a Hot window wider than its array must still yield
@@ -284,18 +310,50 @@ let test_hot_window_exceeds_length () =
       let obs =
         { Executor.null_observer with
           Executor.on_access =
-            (fun addr _ ->
-              if addr < stack_floor then begin
-                incr seen;
-                if addr < base || addr >= base + span then
-                  Alcotest.failf "address %#x outside array span" addr
-              end) }
+            Some
+              (fun addr _ ->
+                if addr < stack_floor then begin
+                  incr seen;
+                  if addr < base || addr >= base + span then
+                    Alcotest.failf "address %#x outside array span" addr
+                end) }
       in
       List.iter
         (fun run_fn -> ignore (run_fn binary input obs))
-        [ Executor.run; Executor.run_tree ];
+        [ Executor.run; Tree_exec.run ];
       Tutil.check_bool "hot/seq accesses observed" true (!seen > 0))
     (Tutil.compile_all program)
+
+(* A composite reads addresses iff one of its parts does, and hands each
+   access only to the parts that read it. *)
+let test_compose_addresses () =
+  let reader seen =
+    { Executor.null_observer with Executor.on_access = Some (fun _ _ -> incr seen) }
+  in
+  let free = Executor.null_observer in
+  let reads parts = Option.is_some (Executor.compose parts).Executor.on_access in
+  List.iter
+    (fun (parts, want) ->
+      Tutil.check_bool "compose reads addresses iff a part does" want (reads parts))
+    [ ([], false); ([ free ], false); ([ free; free ], false);
+      ([ free; free; free ], false); ([ reader (ref 0) ], true);
+      ([ free; reader (ref 0) ], true); ([ reader (ref 0); free ], true);
+      ([ free; reader (ref 0); free ], true);
+      ([ reader (ref 0); reader (ref 0) ], true) ];
+  let program = Tutil.two_phase_program () in
+  let binary = Lower.compile program (Config.v Isa.X86_32 Config.O0) in
+  let a = ref 0 and b = ref 0 in
+  let counts = ref 0 in
+  let counter =
+    { Executor.null_observer with
+      Executor.on_access_count = (fun n -> counts := !counts + n) }
+  in
+  let totals =
+    run binary (Executor.compose [ reader a; counter; free; reader b ])
+  in
+  Tutil.check_int "first reader saw every access" totals.Executor.accesses !a;
+  Tutil.check_int "second reader saw every access" totals.Executor.accesses !b;
+  Tutil.check_int "counts sum to the accesses" totals.Executor.accesses !counts
 
 let test_counting_observer () =
   let program = Tutil.single_loop_program () in
@@ -324,4 +382,5 @@ let () =
           Tutil.quick "hot window wraps" test_hot_window_exceeds_length ] );
       ( "observers",
         [ Tutil.quick "compose order" test_compose_order;
+          Tutil.quick "compose addresses" test_compose_addresses;
           Tutil.quick "counting observer" test_counting_observer ] ) ]

@@ -208,19 +208,22 @@ let data_addrs binary =
   let obs =
     { Executor.null_observer with
       Executor.on_access =
-        (fun addr _ ->
-          if addr < stack_floor then begin
-            (* order-sensitive rolling hash of the address stream *)
-            h := Cbsp_util.Rng.hash2 !h addr;
-            incr count
-          end) }
+        Some
+          (fun addr _ ->
+            if addr < stack_floor then begin
+              (* order-sensitive rolling hash of the address stream *)
+              h := Cbsp_util.Rng.hash2 !h addr;
+              incr count
+            end) }
   in
   let (_ : Executor.totals) = Executor.run binary input obs in
   (!h, !count)
 
-(* Full-fidelity event stream (blocks, accesses, markers), folded into an
-   order-sensitive hash so huge random programs stay cheap to compare. *)
-let event_hash run_fn binary =
+(* An observer folding its event stream into an order-sensitive hash, so
+   huge random programs stay cheap to compare.  [`Hash] hashes the
+   addresses too, [`Read] reads them without hashing, [`Free] reads
+   none; block, count and marker events are hashed in every mode. *)
+let hashing_observer addresses =
   let h = ref 0 and count = ref 0 in
   let note x =
     h := Cbsp_util.Rng.hash2 !h x;
@@ -228,11 +231,21 @@ let event_hash run_fn binary =
   in
   let obs =
     { Executor.on_block = (fun id insts -> note 1; note id; note insts);
-      on_access = (fun addr w -> note 2; note addr; note (Bool.to_int w));
+      on_access =
+        (match addresses with
+         | `Hash -> Some (fun addr w -> note 2; note addr; note (Bool.to_int w))
+         | `Read -> Some (fun _ _ -> ())
+         | `Free -> None);
+      on_access_count = (fun n -> note 4; note n);
       on_marker = (fun key -> note 3; note (Hashtbl.hash key)) }
   in
+  (obs, fun () -> (!h, !count))
+
+(* Full-fidelity event stream (blocks, accesses, counts, markers). *)
+let event_hash ?(addresses = `Hash) run_fn binary =
+  let obs, read = hashing_observer addresses in
   let totals = run_fn binary input obs in
-  (totals, !h, !count)
+  (totals, read ())
 
 let prop_flat_matches_tree =
   (* the tentpole equivalence: the flattened interpreter emits exactly the
@@ -243,7 +256,30 @@ let prop_flat_matches_tree =
       let program = build_program plan in
       List.for_all
         (fun binary ->
-          event_hash Executor.run binary = event_hash Executor.run_tree binary)
+          event_hash Executor.run binary = event_hash Tree_exec.run binary)
+        (binaries_of plan program))
+
+let prop_address_free_run =
+  (* the RNG invariant: cursors and per-array RNG streams feed addresses
+     only, so skipping them changes no block, count or marker event and
+     no total — alone, or composed with a part that reads addresses (which
+     must still see the full address stream) *)
+  QCheck.Test.make ~name:"address-free run = address-reading run" ~count:25
+    (QCheck.make plan_gen) (fun plan ->
+      let program = build_program plan in
+      List.for_all
+        (fun binary ->
+          let free = event_hash ~addresses:`Free Executor.run binary in
+          let reading = event_hash ~addresses:`Read Executor.run binary in
+          let composed =
+            let obs, read = hashing_observer `Free in
+            let addrs, read_addrs = hashing_observer `Hash in
+            let totals = Executor.run binary input (Executor.compose [ obs; addrs ]) in
+            ((totals, read ()), read_addrs ())
+          in
+          free = reading
+          && fst composed = free
+          && snd composed = snd (event_hash Executor.run binary))
         (binaries_of plan program))
 
 let prop_data_stream_across_opt =
@@ -414,6 +450,7 @@ let () =
           Tutil.qcheck_case prop_marker_stream_equal;
           Tutil.qcheck_case prop_boundaries_replay;
           Tutil.qcheck_case prop_flat_matches_tree;
+          Tutil.qcheck_case prop_address_free_run;
           Tutil.qcheck_case prop_data_stream_across_opt;
           Tutil.qcheck_case prop_static_prover_sound;
           Tutil.qcheck_case prop_locality_bounds_sound;

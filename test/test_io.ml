@@ -150,6 +150,73 @@ let test_trace_parse_errors () =
   Tutil.check_int "every malformed line counted" 5
     (Cbsp_obs.Metrics.value parse_errors - errors0)
 
+let test_trace_negative_fields () =
+  (* The file format has no negative fields: a negative block id,
+     instruction count or address is corrupt, not a value to charge. *)
+  List.iter
+    (fun text ->
+      let path = Filename.temp_file "cbsp_neg" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Cbsp_util.Io.with_out_file path (fun oc -> output_string oc text);
+          match Trace.replay ~path Executor.null_observer with
+          | (_ : Executor.totals) -> Alcotest.failf "accepted %S" text
+          | exception Trace.Parse_error _ -> ()))
+    [ "B 0 -5\n"; "B -1 3\n"; "B 0 3\nA -64 r\n"; "B 0 3\nA 8 r\nA -1 w\n" ]
+
+(* Block, count and marker events in order, as a list. *)
+let count_stream () =
+  let evs = ref [] in
+  let obs =
+    { Executor.null_observer with
+      Executor.on_block = (fun id n -> evs := `B (id, n) :: !evs);
+      on_access_count = (fun n -> evs := `C n :: !evs);
+      on_marker = (fun k -> evs := `M k :: !evs) }
+  in
+  (obs, fun () -> List.rev !evs)
+
+let test_trace_count_events () =
+  (* A replayed file delivers each block's access count where the
+     executor does, to an observer that reads no addresses. *)
+  let binary =
+    Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_32 Config.O0)
+  in
+  let obs, read = count_stream () in
+  let (_ : Executor.totals) = Executor.run binary input obs in
+  let live = read () in
+  with_temp (fun path ->
+      let (_ : Executor.totals) = Trace.record ~path binary input in
+      let obs, read = count_stream () in
+      let (_ : Executor.totals) = Trace.replay ~path obs in
+      Tutil.check_bool "has counts" true
+        (List.exists (function `C _ -> true | _ -> false) live);
+      Tutil.check_bool "same block, count and marker events" true
+        (read () = live))
+
+let test_trace_drives_cycletrace () =
+  (* A cycle trace recorded live replays over the trace file to the live
+     cycles and extra counters. *)
+  let module Cycletrace = Cbsp_cache.Cycletrace in
+  let binary =
+    Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_64 Config.O0)
+  in
+  let live = Cycletrace.live () in
+  let (_ : Executor.totals) =
+    Executor.run binary input (Cycletrace.observer live)
+  in
+  let trace = Cycletrace.finish live in
+  with_temp (fun path ->
+      let (_ : Executor.totals) = Trace.record ~path binary input in
+      let sim = Cycletrace.replay trace in
+      let (_ : Executor.totals) = Trace.replay ~path (Cycletrace.observer sim) in
+      Tutil.check_bool "every record read" true (Cycletrace.finish sim == trace);
+      Tutil.check_bool "cycles" true (Cycletrace.cycles sim = Cycletrace.cycles live);
+      Tutil.check_bool "some misses" true
+        ((Cycletrace.extra_counters live).(0) > 0.0);
+      Tutil.check_bool "extras" true
+        (Cycletrace.extra_counters sim = Cycletrace.extra_counters live))
+
 let () =
   Alcotest.run "io"
     [ ( "bbv files",
@@ -162,4 +229,7 @@ let () =
         [ Tutil.quick "roundtrip totals" test_trace_roundtrip_totals;
           Tutil.quick "drives profilers" test_trace_drives_profilers;
           Tutil.quick "drives cache model" test_trace_drives_cache_model;
-          Tutil.quick "parse errors" test_trace_parse_errors ] ) ]
+          Tutil.quick "parse errors" test_trace_parse_errors;
+          Tutil.quick "negative fields" test_trace_negative_fields;
+          Tutil.quick "count events" test_trace_count_events;
+          Tutil.quick "drives cycle trace" test_trace_drives_cycletrace ] ) ]
